@@ -31,8 +31,10 @@
 //!   composes with `--check`).
 //! * `--routing-backend` — restrict to one backend (default `both`).
 
+use caqr::manager::NoopObserver;
 use caqr::{
-    compile_with, CompileReport, CostModelSpec, RouterConfig, RoutingBackendSpec, Strategy,
+    CancelToken, CompileReport, CostModelSpec, PassManager, RouterConfig, RoutingBackendSpec,
+    Strategy,
 };
 use caqr_arch::Device;
 use caqr_bench::Table;
@@ -143,7 +145,15 @@ fn run_jobs(quick: bool) -> Vec<Row> {
     for bench in benches {
         for &strategy in strategies {
             for &model in &models() {
-                let report = compile_with(&bench.circuit, &device, strategy, model)
+                let report = PassManager::for_strategy(strategy)
+                    .run_observed_cancellable_with(
+                        &bench.circuit,
+                        &device,
+                        strategy,
+                        model,
+                        &mut NoopObserver,
+                        &CancelToken::new(),
+                    )
                     .unwrap_or_else(|e| panic!("{} {strategy} {model}: {e}", bench.name));
                 rows.push(Row {
                     bench: bench.name.clone(),
@@ -174,7 +184,15 @@ fn run_dpqa_jobs(quick: bool) -> Vec<DpqaRow> {
     let mut rows = Vec::new();
     for bench in benches {
         for &strategy in strategies {
-            let report = compile_with(&bench.circuit, &device, strategy, router)
+            let report = PassManager::for_strategy(strategy)
+                .run_observed_cancellable_with(
+                    &bench.circuit,
+                    &device,
+                    strategy,
+                    router,
+                    &mut NoopObserver,
+                    &CancelToken::new(),
+                )
                 .unwrap_or_else(|e| panic!("{} {strategy} dpqa: {e}", bench.name));
             rows.push(DpqaRow {
                 bench: bench.name.clone(),

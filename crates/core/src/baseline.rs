@@ -9,7 +9,7 @@
 
 use crate::error::CaqrError;
 use crate::pass::AnalysisCache;
-use crate::router::{self, RoutedCircuit, RouterConfig, RouterOptions};
+use crate::router::{self, RoutedProgram, RouterConfig, RouterOptions};
 use caqr_arch::Device;
 use caqr_circuit::Circuit;
 
@@ -19,7 +19,7 @@ use caqr_circuit::Circuit;
 ///
 /// Returns [`CaqrError::OutOfQubits`] when the circuit is wider than the
 /// device.
-pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, CaqrError> {
+pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
     router::route(circuit, device, RouterOptions::baseline())
 }
 
@@ -35,7 +35,7 @@ pub fn compile_with(
     circuit: &Circuit,
     device: &Device,
     router_config: impl Into<RouterConfig>,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     router::route(
         circuit,
         device,
@@ -60,7 +60,7 @@ pub fn compile_with(
 pub fn compile_bidirectional(
     circuit: &Circuit,
     device: &Device,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     let opts = RouterOptions::baseline();
     let mut analyses = AnalysisCache::new();
     let forward = router::route_cached(circuit, device, opts, None, &mut analyses)?;
@@ -80,7 +80,7 @@ pub fn compile_bidirectional(
         &mut analyses,
     )?;
 
-    let key = |r: &RoutedCircuit| (r.swap_count, r.circuit.depth());
+    let key = |r: &RoutedProgram| (r.swap_count, r.circuit.depth());
     Ok(if key(&refined) <= key(&forward) {
         refined
     } else {

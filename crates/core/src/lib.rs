@@ -84,11 +84,7 @@ pub use cancel::CancelToken;
 pub use error::CaqrError;
 pub use manager::{create_pass, PassManager, PassObserver, REGISTERED_PASSES};
 pub use pass::{AnalysisCache, CompileCtx, Pass};
-pub use pipeline::{
-    compile, compile_template, compile_template_traced_cancellable_with, compile_template_with,
-    compile_traced, compile_traced_cancellable, compile_traced_cancellable_with,
-    compile_traced_with, compile_with, CompileReport, Stage, StageTrace, Strategy,
-};
+pub use pipeline::{compile, CompileReport, Stage, StageTrace, Strategy};
 pub use router::{
     CostModel, CostModelSpec, RoutedProgram, RouterConfig, RoutingBackend, RoutingBackendSpec,
     COST_MODEL_GRAMMAR, ROUTING_BACKEND_GRAMMAR,

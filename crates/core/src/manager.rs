@@ -3,8 +3,9 @@
 //!
 //! Every [`Strategy`] is a declarative recipe — a list of registered pass
 //! names — so strategies, CLI `--passes` overrides, and future custom
-//! pipelines all flow through the same machinery. `compile_traced` is a
-//! thin wrapper that installs a [`StageTrace`]-recording observer.
+//! pipelines all flow through the same machinery: one general entry point,
+//! [`PassManager::run_observed_cancellable_with`], which records a trace
+//! when handed a [`StageTrace`] as its observer.
 
 use crate::cancel::CancelToken;
 use crate::error::CaqrError;
@@ -13,11 +14,11 @@ use crate::pass::{
     ReportPass, RouteSweepPass, SelectObjective, SelectPass, SrRoutePass,
 };
 use crate::pipeline::{CompileReport, Stage, StageTrace, Strategy};
-use crate::router::{CostModelSpec, RouterConfig};
+use crate::router::RouterConfig;
 use caqr_arch::Device;
 #[cfg(debug_assertions)]
 use caqr_circuit::parametric;
-use caqr_circuit::{Circuit, ParametricCircuit};
+use caqr_circuit::Circuit;
 use std::time::{Duration, Instant};
 
 /// Instrumentation hook invoked as the pass manager runs.
@@ -131,78 +132,39 @@ impl PassManager {
     }
 
     /// Compiles `circuit` for `device`, labelling the report with
-    /// `strategy`.
+    /// `strategy` — the one general compile path every caller drives
+    /// ([`crate::compile`] is its default-policy wrapper).
+    ///
+    /// * `router_config` — a bare swap-scoring [`CostModelSpec`](crate::router::CostModelSpec)
+    ///   (SWAP backend) or a full [`RouterConfig`] choosing the backend
+    ///   too: every routing pass in the recipe (baseline route, SR route,
+    ///   the sweep router) compiles under it.
+    /// * `observer` — sees every executed pass, including the failing one
+    ///   with its elapsed time, before the error propagates. Pass a
+    ///   [`StageTrace`] to record spans, or [`NoopObserver`].
+    /// * `cancel` — checked before every pass: a tripped token (explicit
+    ///   cancel or elapsed deadline) stops the pipeline at the next pass
+    ///   boundary with [`CaqrError::DeadlineExceeded`] naming the pass
+    ///   that would have run. Passes are never interrupted mid-flight, so
+    ///   overrun is bounded by the slowest single pass.
+    ///
+    /// A parametric template compiles through the same path: pass
+    /// [`ParametricCircuit::circuit`](caqr_circuit::ParametricCircuit::circuit)
+    /// and the report's circuit still carries the slots, one
+    /// [`bind_circuit`](caqr_circuit::parametric::bind_circuit) away from
+    /// any concrete binding. Whenever the input carries slots, debug
+    /// builds audit every pass for angle-independence: after each pass the
+    /// working circuit must hold only finite angles and slots below the
+    /// input's largest slot id + 1, and the final routed artifact must use
+    /// exactly the input's slot multiset (passes may reorder, remap, or
+    /// interleave rotations, but never invent, drop, or do arithmetic on a
+    /// symbolic angle).
     ///
     /// # Errors
     ///
-    /// The first pass failure, or [`CaqrError::MissingArtifact`] if the
+    /// [`CaqrError::DeadlineExceeded`] on cancellation, otherwise the
+    /// first pass failure, or [`CaqrError::MissingArtifact`] if the
     /// sequence finished without producing a report.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        strategy: Strategy,
-    ) -> Result<CompileReport, CaqrError> {
-        self.run_observed(circuit, device, strategy, &mut NoopObserver)
-    }
-
-    /// [`PassManager::run`] with per-pass instrumentation.
-    ///
-    /// The observer sees every executed pass — including the failing one,
-    /// with its elapsed time — before the error propagates.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PassManager::run`].
-    pub fn run_observed(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        strategy: Strategy,
-        observer: &mut dyn PassObserver,
-    ) -> Result<CompileReport, CaqrError> {
-        self.run_observed_cancellable(circuit, device, strategy, observer, &CancelToken::new())
-    }
-
-    /// [`PassManager::run_observed`] under a [`CancelToken`].
-    ///
-    /// The token is checked before every pass: a tripped token (explicit
-    /// cancel or elapsed deadline) stops the pipeline at the next pass
-    /// boundary with [`CaqrError::DeadlineExceeded`] naming the pass that
-    /// would have run. Passes themselves are never interrupted mid-flight,
-    /// so overrun is bounded by the slowest single pass.
-    ///
-    /// # Errors
-    ///
-    /// [`CaqrError::DeadlineExceeded`] on cancellation, otherwise the same
-    /// contract as [`PassManager::run`].
-    pub fn run_observed_cancellable(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        strategy: Strategy,
-        observer: &mut dyn PassObserver,
-        cancel: &CancelToken,
-    ) -> Result<CompileReport, CaqrError> {
-        self.run_observed_cancellable_with(
-            circuit,
-            device,
-            strategy,
-            CostModelSpec::Hop,
-            observer,
-            cancel,
-        )
-    }
-
-    /// [`PassManager::run_observed_cancellable`] under an explicit
-    /// routing policy — a bare swap-scoring [`CostModelSpec`] (SWAP
-    /// backend) or a full [`RouterConfig`] choosing the backend too:
-    /// every routing pass in the recipe (baseline route, SR route, the
-    /// sweep router) compiles under it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PassManager::run_observed_cancellable`].
     pub fn run_observed_cancellable_with(
         &self,
         circuit: &Circuit,
@@ -212,87 +174,51 @@ impl PassManager {
         observer: &mut dyn PassObserver,
         cancel: &CancelToken,
     ) -> Result<CompileReport, CaqrError> {
-        let ctx = CompileCtx::new(circuit.clone(), device, strategy).with_router(router_config);
-        self.run_ctx(ctx, observer, cancel)
-    }
-
-    /// Compiles a parametric template through the full pipeline: layout,
-    /// routing, and reuse scheduling run on the slot-carrying circuit,
-    /// and the resulting report's circuit still carries the slots — one
-    /// [`ParametricCircuit::bind`] call away from any concrete binding.
-    ///
-    /// In debug builds, every pass is audited for angle-independence:
-    /// after each pass the working circuit must contain only finite
-    /// angles and well-formed slots, and the final routed artifact must
-    /// use exactly the template's slot multiset (passes may reorder,
-    /// remap, or interleave rotations, but never invent, drop, or do
-    /// arithmetic on a symbolic angle).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PassManager::run_observed_cancellable_with`].
-    pub fn run_template_observed_cancellable_with(
-        &self,
-        template: &ParametricCircuit,
-        device: &Device,
-        strategy: Strategy,
-        router_config: impl Into<RouterConfig>,
-        observer: &mut dyn PassObserver,
-        cancel: &CancelToken,
-    ) -> Result<CompileReport, CaqrError> {
-        let ctx = CompileCtx::new(template.circuit().clone(), device, strategy)
-            .with_router(router_config)
-            .with_parametric(template.num_slots());
-        let report = self.run_ctx(ctx, observer, cancel)?;
         #[cfg(debug_assertions)]
-        {
-            debug_assert!(
-                parametric::validate_angles(&report.circuit, template.num_slots()).is_ok(),
-                "routed template carries a malformed angle"
-            );
-            debug_assert_eq!(
-                parametric::slot_census(&report.circuit),
-                parametric::slot_census(template.circuit()),
-                "pipeline changed the template's slot multiset"
-            );
-        }
-        Ok(report)
-    }
-
-    fn run_ctx(
-        &self,
-        mut ctx: CompileCtx<'_>,
-        observer: &mut dyn PassObserver,
-        cancel: &CancelToken,
-    ) -> Result<CompileReport, CaqrError> {
+        let census = parametric::slot_census(circuit);
+        #[cfg(debug_assertions)]
+        let slot_bound = census.last().map(|&max| max + 1);
+        let mut ctx = CompileCtx::new(circuit.clone(), device, strategy).with_router(router_config);
         for pass in &self.passes {
             cancel.check(pass.name())?;
             let start = Instant::now();
             let result = pass.run(&mut ctx);
             observer.pass_complete(pass.name(), pass.stage(), start.elapsed());
             result?;
-            // Angle-independence audit: a pass run on a template may never
-            // corrupt a slot or manufacture a non-finite concrete angle.
             #[cfg(debug_assertions)]
-            if let Some(num_slots) = ctx.parametric_slots() {
+            if let Some(bound) = slot_bound {
                 debug_assert!(
-                    parametric::validate_angles(ctx.circuit(), num_slots).is_ok(),
+                    parametric::validate_angles(ctx.circuit(), bound).is_ok(),
                     "pass '{}' is not angle-independent: {:?}",
                     pass.name(),
-                    parametric::validate_angles(ctx.circuit(), num_slots)
+                    parametric::validate_angles(ctx.circuit(), bound)
                 );
             }
         }
-        ctx.report.take().ok_or(CaqrError::MissingArtifact {
+        let report = ctx.report.take().ok_or(CaqrError::MissingArtifact {
             pass: "pass-manager",
             artifact: "compile report",
-        })
+        })?;
+        #[cfg(debug_assertions)]
+        if let Some(bound) = slot_bound {
+            debug_assert!(
+                parametric::validate_angles(&report.circuit, bound).is_ok(),
+                "routed template carries a malformed angle"
+            );
+            debug_assert_eq!(
+                parametric::slot_census(&report.circuit),
+                census,
+                "pipeline changed the template's slot multiset"
+            );
+        }
+        Ok(report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caqr_circuit::{Param, Qubit};
 
     #[test]
     fn every_registered_pass_resolves() {
@@ -328,25 +254,138 @@ mod tests {
         }
     }
 
+    fn bell() -> Circuit {
+        let mut c = Circuit::new(2, 2);
+        c.h(Qubit::new(0));
+        c.cx(Qubit::new(0), Qubit::new(1));
+        c.measure_all();
+        c
+    }
+
+    /// A two-slot template: `rzz($0)` then `rx($1)`.
+    fn template() -> Circuit {
+        let mut c = Circuit::new(2, 2);
+        c.h(Qubit::new(0));
+        c.rzz(Param::Slot(0).to_raw(), Qubit::new(0), Qubit::new(1));
+        c.rx(Param::Slot(1).to_raw(), Qubit::new(1));
+        c.measure_all();
+        c
+    }
+
+    fn line(n: usize) -> Device {
+        Device::with_synthetic_calibration(caqr_arch::Topology::line(n), 7)
+    }
+
+    fn compile_on(
+        pm: &PassManager,
+        circuit: &Circuit,
+        cancel: &CancelToken,
+    ) -> Result<CompileReport, CaqrError> {
+        pm.run_observed_cancellable_with(
+            circuit,
+            &line(4),
+            Strategy::QsMaxReuse,
+            RouterConfig::default(),
+            &mut NoopObserver,
+            cancel,
+        )
+    }
+
     #[test]
     fn cancelled_token_stops_before_the_first_pass() {
-        let mut c = Circuit::new(2, 2);
-        c.h(caqr_circuit::Qubit::new(0));
-        c.cx(caqr_circuit::Qubit::new(0), caqr_circuit::Qubit::new(1));
-        c.measure_all();
-        let device = Device::with_synthetic_calibration(caqr_arch::Topology::line(4), 7);
+        let pm = PassManager::for_strategy(Strategy::QsMaxReuse);
         let token = CancelToken::new();
         token.cancel();
-        let pm = PassManager::for_strategy(Strategy::QsMaxReuse);
-        let err = pm
-            .run_observed_cancellable(&c, &device, Strategy::QsMaxReuse, &mut NoopObserver, &token)
-            .unwrap_err();
-        assert_eq!(err, CaqrError::DeadlineExceeded { phase: "optimize" });
-        // An untripped token compiles normally.
-        let live = CancelToken::new();
-        assert!(pm
-            .run_observed_cancellable(&c, &device, Strategy::QsMaxReuse, &mut NoopObserver, &live)
-            .is_ok());
+        // Concrete and template inputs stop at the same boundary.
+        for circuit in [bell(), template()] {
+            assert_eq!(
+                compile_on(&pm, &circuit, &token).unwrap_err(),
+                CaqrError::DeadlineExceeded { phase: "optimize" }
+            );
+            // An untripped token compiles normally.
+            assert!(compile_on(&pm, &circuit, &CancelToken::new()).is_ok());
+        }
+    }
+
+    /// A test-only pass that breaks angle-independence on the first slot
+    /// rotation: `Corrupt` overwrites the slot with a plain NaN (what
+    /// arithmetic on a NaN-boxed slot produces), `Drop` deletes the gate.
+    #[cfg(debug_assertions)]
+    enum SlotVandal {
+        Corrupt,
+        Drop,
+    }
+
+    #[cfg(debug_assertions)]
+    impl Pass for SlotVandal {
+        fn name(&self) -> &'static str {
+            "slot-vandal"
+        }
+
+        fn stage(&self) -> Stage {
+            Stage::Optimize
+        }
+
+        fn run(&self, ctx: &mut CompileCtx<'_>) -> Result<(), CaqrError> {
+            let source = ctx.circuit();
+            let mut out = Circuit::new(source.num_qubits(), source.num_clbits());
+            let mut hit = false;
+            for instr in source {
+                if !hit && instr.gate.param().is_some_and(Param::is_slot) {
+                    hit = true;
+                    match self {
+                        SlotVandal::Corrupt => {
+                            let mut bad = instr.clone();
+                            bad.gate = instr.gate.with_angle(f64::NAN).expect("slot gate");
+                            out.push(bad);
+                        }
+                        SlotVandal::Drop => {}
+                    }
+                    continue;
+                }
+                out.push(instr.clone());
+            }
+            ctx.replace_circuit(out);
+            Ok(())
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn vandalized(vandal: SlotVandal) -> PassManager {
+        let mut pm = PassManager::for_strategy(Strategy::Baseline);
+        pm.passes.insert(1, Box::new(vandal));
+        pm
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "pass 'slot-vandal' is not angle-independent")]
+    fn audit_catches_a_corrupted_slot() {
+        let _ = compile_on(
+            &vandalized(SlotVandal::Corrupt),
+            &template(),
+            &CancelToken::new(),
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "pipeline changed the template's slot multiset")]
+    fn audit_catches_a_dropped_slot() {
+        let _ = compile_on(
+            &vandalized(SlotVandal::Drop),
+            &template(),
+            &CancelToken::new(),
+        );
+    }
+
+    /// The audit keys on the input: a concrete circuit is never audited,
+    /// so the same vandal pass runs through without a slot to touch.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn audit_ignores_concrete_inputs() {
+        let pm = vandalized(SlotVandal::Corrupt);
+        assert!(compile_on(&pm, &bell(), &CancelToken::new()).is_ok());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::commuting::{CommutingSpec, NotCommutingError};
 use crate::error::CaqrError;
 use crate::pipeline::{CompileReport, Stage, Strategy};
 use crate::qs::SweepPoint;
-use crate::router::{CostModelSpec, RoutedCircuit, RouterConfig, RoutingBackendSpec};
+use crate::router::{CostModelSpec, RoutedProgram, RouterConfig, RoutingBackendSpec};
 use caqr_arch::Device;
 use caqr_circuit::depth::DurationModel;
 use caqr_circuit::{Circuit, CircuitDag};
@@ -117,10 +117,6 @@ pub struct CompileCtx<'d> {
     router: RouterConfig,
     circuit: Circuit,
     analyses: AnalysisCache,
-    /// `Some(num_slots)` when compiling a parametric template: the working
-    /// circuit carries NaN-boxed slot angles, and the pass manager audits
-    /// angle-independence after every pass (see `PassManager`).
-    parametric_slots: Option<u32>,
     /// Commuting-region analysis: `Some(Ok(_))` for QAOA-shaped circuits,
     /// `Some(Err(_))` for regular circuits, `None` until the
     /// `commuting-analysis` pass runs.
@@ -130,10 +126,10 @@ pub struct CompileCtx<'d> {
     pub sweep: Option<Vec<SweepPoint>>,
     /// Every sweep point routed onto the device, produced by
     /// `route-sweep`; tuples are `(logical qubit count, routed circuit)`.
-    pub routed_sweep: Option<Vec<(usize, RoutedCircuit)>>,
+    pub routed_sweep: Option<Vec<(usize, RoutedProgram)>>,
     /// The selected hardware-compliant circuit, produced by a routing or
     /// selection pass.
-    pub routed: Option<RoutedCircuit>,
+    pub routed: Option<RoutedProgram>,
     /// The final metrics row, produced by `report`.
     pub report: Option<CompileReport>,
 }
@@ -148,7 +144,6 @@ impl<'d> CompileCtx<'d> {
             router: RouterConfig::default(),
             circuit,
             analyses: AnalysisCache::new(),
-            parametric_slots: None,
             commuting: None,
             sweep: None,
             routed_sweep: None,
@@ -157,30 +152,11 @@ impl<'d> CompileCtx<'d> {
         }
     }
 
-    /// The same context routing under a different swap-scoring model.
-    pub fn with_cost_model(mut self, cost_model: CostModelSpec) -> Self {
-        self.router.cost_model = cost_model;
-        self
-    }
-
     /// The same context routing under a different complete routing policy
     /// (backend + cost model).
     pub fn with_router(mut self, router: impl Into<RouterConfig>) -> Self {
         self.router = router.into();
         self
-    }
-
-    /// Marks this compilation as parametric: the working circuit is a
-    /// template with `num_slots` symbolic angle slots, and every pass is
-    /// audited for angle-independence (debug builds).
-    pub fn with_parametric(mut self, num_slots: u32) -> Self {
-        self.parametric_slots = Some(num_slots);
-        self
-    }
-
-    /// The template's slot count when compiling parametrically.
-    pub fn parametric_slots(&self) -> Option<u32> {
-        self.parametric_slots
     }
 
     /// The target device.
@@ -419,7 +395,7 @@ impl Pass for SelectPass {
                 // degenerates to plain swap_count on the SWAP backend.
                 .min_by_key(|(_, r)| (r.swap_count + r.movement_stages, r.circuit.depth())),
             SelectObjective::MaxEsp => {
-                let scored: Vec<(f64, (usize, RoutedCircuit))> = sweep
+                let scored: Vec<(f64, (usize, RoutedProgram))> = sweep
                     .into_iter()
                     .map(|entry| (crate::esp::estimate(&entry.1.circuit, device), entry))
                     .collect();

@@ -3,16 +3,17 @@
 //!
 //! Since the pass-manager refactor this module is a thin veneer: every
 //! [`Strategy`] maps to a declarative pass-name recipe
-//! ([`Strategy::pass_names`]) executed by [`crate::manager::PassManager`],
-//! and [`compile_traced`] is the same run with a [`StageTrace`]-recording
-//! observer installed.
+//! ([`Strategy::pass_names`]) executed by [`PassManager`]. A traced
+//! compile is the same run with a [`StageTrace`] passed as the
+//! [`PassObserver`](crate::PassObserver).
 
+use crate::cancel::CancelToken;
 use crate::error::CaqrError;
 use crate::esp;
-use crate::manager::PassManager;
+use crate::manager::{NoopObserver, PassManager};
 use crate::router::RouterConfig;
 use caqr_arch::Device;
-use caqr_circuit::{Circuit, ParametricCircuit};
+use caqr_circuit::Circuit;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -131,7 +132,7 @@ impl CompileReport {
     /// via [`esp::circuit_stats`].
     pub(crate) fn from_routed(
         strategy: Strategy,
-        routed: crate::router::RoutedCircuit,
+        routed: crate::router::RoutedProgram,
         device: &Device,
     ) -> Self {
         let circuit = routed.circuit;
@@ -172,7 +173,7 @@ impl fmt::Display for CompileReport {
     }
 }
 
-/// A coarse pipeline stage, as reported by [`compile_traced`]. Every pass
+/// A coarse pipeline stage, as recorded in a [`StageTrace`]. Every pass
 /// belongs to exactly one stage; per-pass spans are recorded alongside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
@@ -286,8 +287,18 @@ impl StageTrace {
     }
 }
 
-/// Compiles `circuit` onto `device` under `strategy` and reports the
-/// paper's metrics.
+/// Compiles `circuit` onto `device` under `strategy` with the default
+/// routing policy (SWAP backend, hop scoring) and reports the paper's
+/// metrics.
+///
+/// This is the one convenience wrapper over the general compile path,
+/// [`PassManager::run_observed_cancellable_with`]: call that directly to
+/// pick a [`RouterConfig`], record a [`StageTrace`] (it implements
+/// [`PassObserver`](crate::PassObserver)), or stop at a deadline with a [`CancelToken`]. A
+/// parametric template compiles the same way via
+/// [`ParametricCircuit::circuit`](caqr_circuit::ParametricCircuit::circuit):
+/// the report's circuit keeps the template's slots, and its structural
+/// metrics hold for every binding.
 ///
 /// # Errors
 ///
@@ -298,182 +309,14 @@ pub fn compile(
     device: &Device,
     strategy: Strategy,
 ) -> Result<CompileReport, CaqrError> {
-    PassManager::for_strategy(strategy).run(circuit, device, strategy)
-}
-
-/// [`compile`] under an explicit routing policy: a bare swap-scoring
-/// [`CostModelSpec`](crate::router::CostModelSpec) (SWAP backend, the
-/// historical behaviour) or a full [`RouterConfig`] selecting the backend
-/// too — every routing pass in the strategy's recipe uses it.
-///
-/// # Errors
-///
-/// Same contract as [`compile`].
-pub fn compile_with(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-) -> Result<CompileReport, CaqrError> {
-    compile_traced_cancellable_with(
+    PassManager::for_strategy(strategy).run_observed_cancellable_with(
         circuit,
         device,
         strategy,
-        router_config,
-        &crate::cancel::CancelToken::new(),
+        RouterConfig::default(),
+        &mut NoopObserver,
+        &CancelToken::new(),
     )
-    .0
-}
-
-/// [`compile`], additionally reporting where the wall-clock went.
-///
-/// The [`StageTrace`] is returned even when compilation fails — the
-/// observer hook fires after every executed pass, including the failing
-/// one — so callers can attribute the cost of failed jobs too. This is the
-/// entry point the batch-compilation engine (`caqr-engine`) builds its
-/// per-stage and per-pass metrics on.
-pub fn compile_traced(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    compile_traced_cancellable(
-        circuit,
-        device,
-        strategy,
-        &crate::cancel::CancelToken::new(),
-    )
-}
-
-/// [`compile_traced`] under an explicit routing policy (a
-/// [`CostModelSpec`](crate::router::CostModelSpec) or [`RouterConfig`]).
-pub fn compile_traced_with(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    compile_traced_cancellable_with(
-        circuit,
-        device,
-        strategy,
-        router_config,
-        &crate::cancel::CancelToken::new(),
-    )
-}
-
-/// [`compile_traced`] under a [`crate::cancel::CancelToken`], checked at
-/// every pass boundary.
-///
-/// This is the entry point `caqr-serve` drives: a request deadline becomes
-/// a token, and a tripped token surfaces as
-/// [`CaqrError::DeadlineExceeded`] (HTTP 504) with the partial
-/// [`StageTrace`] still attributing the time already spent.
-pub fn compile_traced_cancellable(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    cancel: &crate::cancel::CancelToken,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    compile_traced_cancellable_with(
-        circuit,
-        device,
-        strategy,
-        crate::router::CostModelSpec::Hop,
-        cancel,
-    )
-}
-
-/// [`compile_traced_cancellable`] under an explicit routing policy (a
-/// [`CostModelSpec`](crate::router::CostModelSpec) or [`RouterConfig`]) —
-/// the fully general entry point the batch engine and HTTP service drive:
-/// strategy, routing policy, deadline token, and instrumentation all in
-/// one call.
-pub fn compile_traced_cancellable_with(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-    cancel: &crate::cancel::CancelToken,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    let mut trace = StageTrace::default();
-    let result = PassManager::for_strategy(strategy).run_observed_cancellable_with(
-        circuit,
-        device,
-        strategy,
-        router_config,
-        &mut trace,
-        cancel,
-    );
-    (result, trace)
-}
-
-/// Compiles a parametric template through the full pipeline. The
-/// returned report's circuit still carries the template's symbolic
-/// slots; its structural metrics (qubits, depth, duration, SWAPs, 2q
-/// count, ESP) are angle-independent and therefore valid for **every**
-/// binding. Stamp concrete angles in with
-/// [`caqr_circuit::parametric::bind_circuit`] — an O(gates) walk.
-///
-/// # Errors
-///
-/// Same contract as [`compile`].
-pub fn compile_template(
-    template: &ParametricCircuit,
-    device: &Device,
-    strategy: Strategy,
-) -> Result<CompileReport, CaqrError> {
-    compile_template_with(
-        template,
-        device,
-        strategy,
-        crate::router::CostModelSpec::Hop,
-    )
-}
-
-/// [`compile_template`] under an explicit routing policy (a
-/// [`CostModelSpec`](crate::router::CostModelSpec) or [`RouterConfig`]).
-///
-/// # Errors
-///
-/// Same contract as [`compile`].
-pub fn compile_template_with(
-    template: &ParametricCircuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-) -> Result<CompileReport, CaqrError> {
-    compile_template_traced_cancellable_with(
-        template,
-        device,
-        strategy,
-        router_config,
-        &crate::cancel::CancelToken::new(),
-    )
-    .0
-}
-
-/// The fully general template entry point: strategy, routing policy,
-/// deadline token, and per-pass instrumentation in one call — the
-/// template analogue of [`compile_traced_cancellable_with`], and the
-/// entry the batch engine's bind path drives.
-pub fn compile_template_traced_cancellable_with(
-    template: &ParametricCircuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-    cancel: &crate::cancel::CancelToken,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    let mut trace = StageTrace::default();
-    let result = PassManager::for_strategy(strategy).run_template_observed_cancellable_with(
-        template,
-        device,
-        strategy,
-        router_config,
-        &mut trace,
-        cancel,
-    );
-    (result, trace)
 }
 
 #[cfg(test)]
@@ -486,6 +329,23 @@ mod tests {
 
     fn q(i: usize) -> Qubit {
         Qubit::new(i)
+    }
+
+    fn traced(
+        circuit: &Circuit,
+        device: &Device,
+        strategy: Strategy,
+    ) -> (Result<CompileReport, CaqrError>, StageTrace) {
+        let mut trace = StageTrace::default();
+        let result = PassManager::for_strategy(strategy).run_observed_cancellable_with(
+            circuit,
+            device,
+            strategy,
+            RouterConfig::default(),
+            &mut trace,
+            &CancelToken::new(),
+        );
+        (result, trace)
     }
 
     fn bv(n: usize) -> Circuit {
@@ -573,7 +433,7 @@ mod tests {
         let c = bv(6);
         for strategy in [Strategy::Baseline, Strategy::QsMaxReuse, Strategy::Sr] {
             let plain = compile(&c, &dev, strategy)?;
-            let (traced, trace) = compile_traced(&c, &dev, strategy);
+            let (traced, trace) = traced(&c, &dev, strategy);
             let traced = traced?;
             assert_eq!(plain.circuit, traced.circuit, "{strategy}");
             assert_eq!(plain.qubits, traced.qubits);
@@ -598,7 +458,7 @@ mod tests {
     fn trace_survives_failure() {
         // 10 logical qubits cannot fit a 3-qubit line under baseline.
         let dev = Device::with_synthetic_calibration(caqr_arch::Topology::line(3), 1);
-        let (result, trace) = compile_traced(&bv(10), &dev, Strategy::Baseline);
+        let (result, trace) = traced(&bv(10), &dev, Strategy::Baseline);
         assert!(result.is_err());
         assert!(trace.spans().iter().any(|(s, _)| *s == Stage::Optimize));
         // The failing pass itself is recorded too.

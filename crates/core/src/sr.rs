@@ -17,29 +17,56 @@ use crate::commuting::{CommutingSpec, Matcher};
 use crate::error::CaqrError;
 use crate::pass::AnalysisCache;
 use crate::qs;
-use crate::router::{self, CostModelSpec, RoutedCircuit, RouterConfig, RouterOptions};
+use crate::router::{self, CostModelSpec, RoutedProgram, RouterConfig, RouterOptions};
 use caqr_arch::Device;
-use caqr_circuit::parametric::{self, ParametricCircuit};
+use caqr_circuit::parametric;
 use caqr_circuit::Circuit;
+use std::cmp::Reverse;
 
-/// Routes `circuit` under each policy in order, sharing one analysis
-/// cache, feeding every result to `consider`.
-fn route_versions(
-    circuit: &Circuit,
+/// The generate-versions-and-select core every SR flow shares: routes
+/// each version under its two policies in order (one analysis cache per
+/// version, shared by both policies) and keeps the candidate with the
+/// lowest `rank`. Ties keep the first candidate, so version and policy
+/// order are part of the result. When every version fails to route, the
+/// last routing error is returned.
+fn select<'c, K: PartialOrd>(
     device: &Device,
-    policies: [RouterOptions; 2],
-    mut consider: impl FnMut(Result<RoutedCircuit, CaqrError>),
-) {
-    let mut analyses = AnalysisCache::new();
-    for opts in policies {
-        consider(router::route_cached(
-            circuit,
-            device,
-            opts,
-            None,
-            &mut analyses,
-        ));
+    versions: impl IntoIterator<Item = (&'c Circuit, [RouterOptions; 2])>,
+    rank: impl Fn(&RoutedProgram) -> K,
+) -> Result<RoutedProgram, CaqrError> {
+    let mut best: Option<(K, RoutedProgram)> = None;
+    let mut last_err = None;
+    for (circuit, policies) in versions {
+        let mut analyses = AnalysisCache::new();
+        for opts in policies {
+            match router::route_cached(circuit, device, opts, None, &mut analyses) {
+                Ok(routed) => {
+                    let key = rank(&routed);
+                    if best.as_ref().is_none_or(|(b, _)| key < *b) {
+                        best = Some((key, routed));
+                    }
+                }
+                Err(e) => last_err = Some(e),
+            }
+        }
     }
+    match best {
+        Some((_, routed)) => Ok(routed),
+        None => {
+            Err(last_err
+                .unwrap_or_else(|| CaqrError::internal("version selection saw no candidates")))
+        }
+    }
+}
+
+/// The SWAP-objective ranking: SWAPs (or movement stages), then qubit
+/// usage, then depth.
+fn swap_rank(r: &RoutedProgram) -> (usize, usize, usize) {
+    (
+        r.swap_count + r.movement_stages,
+        r.physical_qubits_used,
+        r.circuit.depth(),
+    )
 }
 
 /// Compiles a regular circuit with SR-CaQR (§3.3.1): the delay/reclaim
@@ -53,7 +80,7 @@ fn route_versions(
 /// # Errors
 ///
 /// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
-pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, CaqrError> {
+pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
     compile_with(circuit, device, CostModelSpec::Hop)
 }
 
@@ -68,60 +95,18 @@ pub fn compile_with(
     circuit: &Circuit,
     device: &Device,
     router_config: impl Into<RouterConfig>,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     let router_config = router_config.into();
     let policies = [
         RouterOptions::sr().with_router(router_config),
         RouterOptions::baseline().with_router(router_config),
     ];
-    let mut best: Option<RoutedCircuit> = None;
-    let mut last_err = None;
-    let key = |r: &RoutedCircuit| {
-        (
-            r.swap_count + r.movement_stages,
-            r.physical_qubits_used,
-            r.circuit.depth(),
-        )
-    };
-    let consider = |candidate: Result<RoutedCircuit, CaqrError>,
-                    best: &mut Option<RoutedCircuit>,
-                    last_err: &mut Option<CaqrError>| {
-        match candidate {
-            Ok(routed) => {
-                if best.as_ref().is_none_or(|b| key(&routed) < key(b)) {
-                    *best = Some(routed);
-                }
-            }
-            Err(e) => *last_err = Some(e),
-        }
-    };
-    route_versions(circuit, device, policies, |c| {
-        consider(c, &mut best, &mut last_err)
-    });
-    for point in qs::regular::sweep(circuit, &device.logical_duration_model()) {
-        if point.reuses == 0 {
-            continue; // the original was handled above
-        }
-        route_versions(&point.circuit, device, policies, |c| {
-            consider(c, &mut best, &mut last_err)
-        });
-    }
-    finish(best, last_err)
-}
-
-/// Resolves the best candidate, or the last routing error when every
-/// version failed.
-fn finish(
-    best: Option<RoutedCircuit>,
-    last_err: Option<CaqrError>,
-) -> Result<RoutedCircuit, CaqrError> {
-    match best {
-        Some(b) => Ok(b),
-        None => {
-            Err(last_err
-                .unwrap_or_else(|| CaqrError::internal("version selection saw no candidates")))
-        }
-    }
+    let points = qs::regular::sweep(circuit, &device.logical_duration_model());
+    // The original first; sweep points without reuse repeat it.
+    let versions = std::iter::once(circuit)
+        .chain(points.iter().filter(|p| p.reuses > 0).map(|p| &p.circuit))
+        .map(|c| (c, policies));
+    select(device, versions, swap_rank)
 }
 
 /// Routes with the delay/reclaim mapper only — the raw §3.3.1 algorithm
@@ -130,16 +115,23 @@ fn finish(
 /// # Errors
 ///
 /// Returns [`CaqrError::OutOfQubits`] when the circuit cannot fit.
-pub fn route_only(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, CaqrError> {
+pub fn route_only(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
     router::route(circuit, device, RouterOptions::sr())
 }
 
 /// SR-CaQR with the *fidelity* objective: the same candidate versions as
-/// [`compile`] / [`compile_commuting`], ranked by estimated success
-/// probability instead of SWAP count. This is the selection the paper's
-/// end-to-end fidelity experiments (Table 3, Figs. 15/16) exercise — the
-/// reuse level that best balances SWAP savings against the added
-/// measure-and-reset duration.
+/// [`compile`] / [`compile_commuting_with_cost`], ranked by estimated
+/// success probability instead of SWAP count. This is the selection the
+/// paper's end-to-end fidelity experiments (Table 3, Figs. 15/16)
+/// exercise — the reuse level that best balances SWAP savings against
+/// the added measure-and-reset duration.
+///
+/// ESP reads gate types, durations, and calibration — never rotation
+/// angles — so for a parametric template
+/// ([`ParametricCircuit::circuit`](caqr_circuit::ParametricCircuit::circuit))
+/// the chosen version and its routing are valid for **every** binding.
+/// The routed circuit still carries the template's slots; stamp concrete
+/// angles in with [`parametric::bind_circuit`] (an O(gates) walk).
 ///
 /// # Errors
 ///
@@ -147,105 +139,39 @@ pub fn route_only(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, C
 pub fn compile_for_fidelity(
     circuit: &Circuit,
     device: &Device,
-) -> Result<RoutedCircuit, CaqrError> {
-    let mut best: Option<(f64, RoutedCircuit)> = None;
-    let mut last_err = None;
-    let mut consider = |candidate: Result<RoutedCircuit, CaqrError>| match candidate {
-        Ok(routed) => {
-            let esp = crate::esp::estimate(&routed.circuit, device);
-            if best.as_ref().is_none_or(|(b, _)| esp > *b) {
-                best = Some((esp, routed));
-            }
-        }
-        Err(e) => last_err = Some(e),
-    };
-    route_versions(
-        circuit,
-        device,
-        [RouterOptions::baseline(), RouterOptions::sr()],
-        &mut consider,
-    );
+) -> Result<RoutedProgram, CaqrError> {
     let points = match CommutingSpec::from_circuit(circuit) {
         Ok(spec) => qs::commuting::sweep(&spec, default_matcher(&spec)),
         Err(_) => qs::regular::sweep(circuit, &device.logical_duration_model()),
     };
-    for point in points {
-        route_versions(
-            &point.circuit,
-            device,
-            [RouterOptions::sr(), RouterOptions::baseline()],
-            &mut consider,
+    let versions = std::iter::once((circuit, [RouterOptions::baseline(), RouterOptions::sr()]))
+        .chain(
+            points
+                .iter()
+                .map(|p| (&p.circuit, [RouterOptions::sr(), RouterOptions::baseline()])),
         );
-    }
-    finish(best.map(|(_, r)| r), last_err)
-}
-
-/// [`compile_for_fidelity`] for a parametric template. Version selection
-/// ranks by ESP, which reads gate types, durations, and calibration —
-/// never rotation angles — so the chosen version and its routing are
-/// valid for **every** binding of the template. The routed circuit still
-/// carries the template's symbolic slots; stamp concrete angles in with
-/// [`caqr_circuit::parametric::bind_circuit`] (an O(gates) walk).
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
-pub fn compile_for_fidelity_template(
-    template: &ParametricCircuit,
-    device: &Device,
-) -> Result<RoutedCircuit, CaqrError> {
-    let routed = compile_for_fidelity(template.circuit(), device)?;
-    debug_assert_eq!(
-        parametric::slot_census(&routed.circuit),
-        parametric::slot_census(template.circuit()),
+    let routed = select(device, versions, |r| {
+        Reverse(crate::esp::estimate(&r.circuit, device))
+    })?;
+    debug_assert!(
+        !parametric::has_slots(circuit)
+            || parametric::slot_census(&routed.circuit) == parametric::slot_census(circuit),
         "fidelity version selection must preserve the template's slot multiset"
     );
     Ok(routed)
 }
 
-/// Compiles a commuting-gate circuit with SR-CaQR (§3.3.2): QS-CaQR finds
-/// the sweet-spot reuse pairs, those impose the partial gate order, and
-/// the dynamic-circuit-aware mapper routes the result. Several reuse
-/// levels are compiled (none, half of the sweet spot, the sweet spot) and
-/// the best compiled circuit wins — ranked by SWAPs, then qubit usage,
-/// then duration — mirroring the paper's generate-versions-and-select
-/// flow.
+/// Compiles a commuting-gate circuit with SR-CaQR (§3.3.2) under an
+/// explicit routing policy — a bare swap-scoring [`CostModelSpec`] or a
+/// full [`RouterConfig`] — applied to every candidate version under both
+/// policies. `spec` is the circuit's precomputed commuting analysis (the
+/// pass pipeline's `commuting-analysis` artifact).
 ///
-/// Falls back to the regular path when the circuit does not have the
-/// commuting-layer shape.
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] as for [`compile`].
-pub fn compile_commuting(
-    circuit: &Circuit,
-    device: &Device,
-    _slack: f64,
-) -> Result<RoutedCircuit, CaqrError> {
-    let Ok(spec) = CommutingSpec::from_circuit(circuit) else {
-        return compile(circuit, device);
-    };
-    compile_commuting_with(circuit, device, &spec)
-}
-
-/// [`compile_commuting`] with a precomputed [`CommutingSpec`] — the entry
-/// point the pass pipeline uses so the `commuting-analysis` artifact is
-/// not recomputed.
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] as for [`compile`].
-pub fn compile_commuting_with(
-    circuit: &Circuit,
-    device: &Device,
-    spec: &CommutingSpec,
-) -> Result<RoutedCircuit, CaqrError> {
-    compile_commuting_with_cost(circuit, device, spec, CostModelSpec::Hop)
-}
-
-/// [`compile_commuting_with`] under an explicit routing policy — a bare
-/// swap-scoring [`CostModelSpec`] or a full [`RouterConfig`] — applied to
-/// every candidate version under both policies.
+/// QS-CaQR finds the sweet-spot reuse pairs, those impose the partial
+/// gate order, and the dynamic-circuit-aware mapper routes the result.
+/// Every reuse level is compiled and the best compiled circuit wins —
+/// ranked by SWAPs, then qubit usage, then depth — mirroring the paper's
+/// generate-versions-and-select flow.
 ///
 /// # Errors
 ///
@@ -255,55 +181,18 @@ pub fn compile_commuting_with_cost(
     device: &Device,
     spec: &CommutingSpec,
     router_config: impl Into<RouterConfig>,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     let router_config = router_config.into();
-    let matcher = default_matcher(spec);
-    let mut best: Option<RoutedCircuit> = None;
-    let mut last_err = None;
-    let key = |r: &RoutedCircuit| {
-        (
-            r.swap_count + r.movement_stages,
-            r.physical_qubits_used,
-            r.circuit.depth(),
-        )
-    };
-    let consider = |candidate: Result<RoutedCircuit, CaqrError>,
-                    best: &mut Option<RoutedCircuit>,
-                    last_err: &mut Option<CaqrError>| {
-        match candidate {
-            Ok(routed) => {
-                if best.as_ref().is_none_or(|b| key(&routed) < key(b)) {
-                    *best = Some(routed);
-                }
-            }
-            Err(e) => *last_err = Some(e),
-        }
-    };
-    // The untouched input (original gate order) under both policies.
-    route_versions(
-        circuit,
-        device,
-        [
-            RouterOptions::baseline().with_router(router_config),
-            RouterOptions::sr().with_router(router_config),
-        ],
-        |c| consider(c, &mut best, &mut last_err),
-    );
+    let sr = RouterOptions::sr().with_router(router_config);
+    let baseline = RouterOptions::baseline().with_router(router_config);
     // Every QS sweep point (scheduler-ordered, 0..max reuse) under both
     // policies — a strict superset of the QS-min-SWAP candidate set, so
     // SR never loses Table 2's comparison by construction.
-    for point in qs::commuting::sweep(spec, matcher) {
-        route_versions(
-            &point.circuit,
-            device,
-            [
-                RouterOptions::sr().with_router(router_config),
-                RouterOptions::baseline().with_router(router_config),
-            ],
-            |c| consider(c, &mut best, &mut last_err),
-        );
-    }
-    finish(best, last_err)
+    let points = qs::commuting::sweep(spec, default_matcher(spec));
+    // The untouched input (original gate order) comes first.
+    let versions = std::iter::once((circuit, [baseline, sr]))
+        .chain(points.iter().map(|p| (&p.circuit, [sr, baseline])));
+    select(device, versions, swap_rank)
 }
 
 /// Blossom matching for small instances; the §3.4 greedy alternative once
@@ -320,7 +209,7 @@ pub fn default_matcher(spec: &CommutingSpec) -> Matcher {
 mod tests {
     use super::*;
     use crate::baseline;
-    use caqr_circuit::{Clbit, Qubit};
+    use caqr_circuit::{Clbit, ParametricCircuit, Qubit};
     use caqr_graph::gen;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
@@ -397,7 +286,8 @@ mod tests {
     fn commuting_path_compiles_qaoa() -> TestResult {
         let dev = Device::mumbai(3);
         let c = qaoa_circuit(8, 0.3, 5);
-        let r = compile_commuting(&c, &dev, 0.1)?;
+        let spec = CommutingSpec::from_circuit(&c).map_err(|e| e.to_string())?;
+        let r = compile_commuting_with_cost(&c, &dev, &spec, CostModelSpec::Hop)?;
         assert!(r.is_hardware_compliant(&dev));
         // Version selection guarantees SR is never worse than the no-reuse
         // compilation on SWAPs, and usage stays at or below the baseline
@@ -415,30 +305,6 @@ mod tests {
             r.physical_qubits_used,
             base.physical_qubits_used
         );
-        Ok(())
-    }
-
-    #[test]
-    fn commuting_with_spec_matches_recomputed_spec() -> TestResult {
-        let dev = Device::mumbai(3);
-        let c = qaoa_circuit(8, 0.3, 5);
-        let spec = CommutingSpec::from_circuit(&c).map_err(|e| e.to_string())?;
-        let with = compile_commuting_with(&c, &dev, &spec)?;
-        let recomputed = compile_commuting(&c, &dev, 0.1)?;
-        assert_eq!(
-            with.circuit.fingerprint(),
-            recomputed.circuit.fingerprint(),
-            "precomputed spec must not change the result"
-        );
-        Ok(())
-    }
-
-    #[test]
-    fn commuting_falls_back_for_regular_circuits() -> TestResult {
-        let dev = Device::mumbai(3);
-        let c = bv(5);
-        let r = compile_commuting(&c, &dev, 0.1)?;
-        assert!(r.is_hardware_compliant(&dev));
         Ok(())
     }
 
@@ -461,7 +327,7 @@ mod tests {
         let dev = Device::mumbai(4);
         let concrete = qaoa_circuit(8, 0.3, 9);
         let (template, values) = ParametricCircuit::parametrize(&concrete);
-        let routed = compile_for_fidelity_template(&template, &dev)?;
+        let routed = compile_for_fidelity(template.circuit(), &dev)?;
         let bound = parametric::bind_circuit(&routed.circuit, template.num_slots(), &values)
             .map_err(|e| e.to_string())?;
         let direct = compile_for_fidelity(&concrete, &dev)?;

@@ -7,8 +7,9 @@
 //! model. Layout, routing, reuse, and scheduling must therefore never
 //! read an angle; this suite is the end-to-end proof of that audit.
 
+use caqr::manager::NoopObserver;
 use caqr::router::CostModelSpec;
-use caqr::{compile_template_with, compile_with, Strategy};
+use caqr::{CancelToken, CaqrError, CompileReport, PassManager, Strategy};
 use caqr_arch::Device;
 use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
 use caqr_circuit::parametric::{bind_circuit, has_slots, slot_census};
@@ -29,6 +30,24 @@ fn cost_models() -> [CostModelSpec; 3] {
         CostModelSpec::parse("lookahead").expect("valid spec"),
         CostModelSpec::parse("noise-aware").expect("valid spec"),
     ]
+}
+
+/// Compiles through the general path. Templates and concrete circuits
+/// take the same call; a template passes its slot-carrying circuit.
+fn compile_under(
+    circuit: &Circuit,
+    device: &Device,
+    strategy: Strategy,
+    cost_model: CostModelSpec,
+) -> Result<CompileReport, CaqrError> {
+    PassManager::for_strategy(strategy).run_observed_cancellable_with(
+        circuit,
+        device,
+        strategy,
+        cost_model,
+        &mut NoopObserver,
+        &CancelToken::new(),
+    )
 }
 
 /// A rotation-dense regular (non-commuting) circuit: interleaved axes and
@@ -73,9 +92,9 @@ fn bound_template_is_byte_identical_to_direct_compile() {
         for strategy in STRATEGIES {
             for cost_model in cost_models() {
                 let tag = format!("{name} / {strategy} / {cost_model}");
-                let direct = compile_with(&circuit, &device, strategy, cost_model)
+                let direct = compile_under(&circuit, &device, strategy, cost_model)
                     .unwrap_or_else(|e| panic!("{tag}: direct compile failed: {e}"));
-                let routed = compile_template_with(&template, &device, strategy, cost_model)
+                let routed = compile_under(template.circuit(), &device, strategy, cost_model)
                     .unwrap_or_else(|e| panic!("{tag}: template compile failed: {e}"));
                 // The routed template keeps the full slot multiset…
                 assert!(has_slots(&routed.circuit), "{tag}: slots lost in routing");
@@ -117,8 +136,13 @@ fn rebinding_the_same_routed_template_is_pure() {
     let device = Device::mumbai(2023);
     let bench = qaoa_benchmark(6, 0.3, GraphKind::Random, 2029);
     let (template, values) = ParametricCircuit::parametrize(&bench.circuit);
-    let routed = compile_template_with(&template, &device, Strategy::Sr, CostModelSpec::Hop)
-        .expect("compiles");
+    let routed = compile_under(
+        template.circuit(),
+        &device,
+        Strategy::Sr,
+        CostModelSpec::Hop,
+    )
+    .expect("compiles");
     let a = bind_circuit(&routed.circuit, template.num_slots(), &values).unwrap();
     let b = bind_circuit(&routed.circuit, template.num_slots(), &values).unwrap();
     assert_eq!(a.fingerprint(), b.fingerprint());

@@ -73,29 +73,24 @@ fn run(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "compile" => {
             let device = opts.device()?;
-            let report = match &opts.passes {
-                // A custom pass sequence: run it through the same
-                // PassManager the strategy recipes use, labelled with
-                // whatever --strategy says (for the report header only).
-                Some(names) => {
-                    let manager = PassManager::from_names(names.iter().map(String::as_str))
-                        .map_err(|e| {
-                            format!("{e} (registered: {})", REGISTERED_PASSES.join(", "))
-                        })?;
-                    manager
-                        .run_observed_cancellable_with(
-                            &circuit,
-                            &device,
-                            opts.strategy,
-                            opts.router(),
-                            &mut caqr::manager::NoopObserver,
-                            &caqr::CancelToken::new(),
-                        )
-                        .map_err(|e| format!("compilation failed: {e}"))?
-                }
-                None => caqr::compile_with(&circuit, &device, opts.strategy, opts.router())
-                    .map_err(|e| format!("compilation failed: {e}"))?,
+            let manager = match &opts.passes {
+                // A custom pass sequence runs through the same PassManager
+                // the strategy recipes use, labelled with whatever
+                // --strategy says (for the report header only).
+                Some(names) => PassManager::from_names(names.iter().map(String::as_str))
+                    .map_err(|e| format!("{e} (registered: {})", REGISTERED_PASSES.join(", ")))?,
+                None => PassManager::for_strategy(opts.strategy),
             };
+            let report = manager
+                .run_observed_cancellable_with(
+                    &circuit,
+                    &device,
+                    opts.strategy,
+                    opts.router(),
+                    &mut caqr::manager::NoopObserver,
+                    &caqr::CancelToken::new(),
+                )
+                .map_err(|e| format!("compilation failed: {e}"))?;
             println!("{report}");
             if opts.emit {
                 print!("{}", qasm::to_qasm(&report.circuit));

@@ -14,10 +14,7 @@ use crate::cache::CompileCache;
 use crate::job::{FailedJob, JobError};
 use crate::metrics::EngineMetrics;
 use crate::pool::Engine;
-use caqr::{
-    CancelToken, CompileReport, CostModelSpec, RouterConfig, RoutingBackendSpec, StageTrace,
-    Strategy,
-};
+use caqr::{CancelToken, CompileReport, PassManager, RouterConfig, StageTrace, Strategy};
 use caqr_arch::Device;
 use caqr_circuit::fingerprint::{Fingerprint, StableHasher};
 use caqr_circuit::parametric::bind_circuit;
@@ -52,7 +49,7 @@ pub struct BindJob {
 
 impl BindJob {
     /// Builds a bind job routing with the default policy (SWAP backend,
-    /// [`CostModelSpec::Hop`] swap-scoring model).
+    /// [`CostModelSpec::Hop`](caqr::CostModelSpec::Hop) swap-scoring model).
     pub fn new(
         name: impl Into<String>,
         template: ParametricCircuit,
@@ -70,19 +67,9 @@ impl BindJob {
         }
     }
 
-    /// The same job routing under a different swap-scoring model.
-    pub fn with_cost_model(mut self, cost_model: CostModelSpec) -> Self {
-        self.router.cost_model = cost_model;
-        self
-    }
-
-    /// The same job routed by a different backend.
-    pub fn with_backend(mut self, backend: RoutingBackendSpec) -> Self {
-        self.router.backend = backend;
-        self
-    }
-
-    /// The same job under a full routing policy (backend + cost model).
+    /// The same job under a full routing policy (backend + cost model);
+    /// a bare [`CostModelSpec`](caqr::CostModelSpec) or
+    /// [`RoutingBackendSpec`](caqr::RoutingBackendSpec) converts too.
     pub fn with_router(mut self, router: impl Into<RouterConfig>) -> Self {
         self.router = router.into();
         self
@@ -118,10 +105,8 @@ pub struct BindOutcome {
     pub name: String,
     /// Strategy that ran.
     pub strategy: Strategy,
-    /// Routing cost model the template compiled under.
-    pub cost_model: CostModelSpec,
-    /// Routing backend the template compiled under.
-    pub backend: RoutingBackendSpec,
+    /// Routing policy the template compiled under.
+    pub router: RouterConfig,
     /// The bound report: structural metrics from the routed template,
     /// circuit with every slot stamped to a concrete angle.
     pub report: CompileReport,
@@ -140,7 +125,7 @@ impl BindOutcome {
     /// The report "router" label for this outcome; see
     /// [`crate::job::router_label`].
     pub fn router_label(&self) -> String {
-        crate::job::router_label(self.backend, self.cost_model)
+        crate::job::router_label(self.router.backend, self.router.cost_model)
     }
 }
 
@@ -178,8 +163,7 @@ impl Engine {
             result: Err(FailedJob {
                 name: job.name.clone(),
                 strategy: job.strategy,
-                cost_model: job.router.cost_model,
-                backend: job.router.backend,
+                router: job.router,
                 error,
                 queue_wait,
             }),
@@ -199,13 +183,17 @@ impl Engine {
                 metrics.template_cache_misses = 1;
                 let compile_started = Instant::now();
                 let compiled = catch_unwind(AssertUnwindSafe(|| {
-                    caqr::compile_template_traced_cancellable_with(
-                        &job.template,
-                        &job.device,
-                        job.strategy,
-                        job.router,
-                        cancel,
-                    )
+                    let mut trace = StageTrace::default();
+                    let result = PassManager::for_strategy(job.strategy)
+                        .run_observed_cancellable_with(
+                            job.template.circuit(),
+                            &job.device,
+                            job.strategy,
+                            job.router,
+                            &mut trace,
+                            cancel,
+                        );
+                    (result, trace)
                 }));
                 let (result, trace) = match compiled {
                     Ok(pair) => pair,
@@ -260,8 +248,7 @@ impl Engine {
             result: Ok(BindOutcome {
                 name: job.name.clone(),
                 strategy: job.strategy,
-                cost_model: job.router.cost_model,
-                backend: job.router.backend,
+                router: job.router,
                 report: CompileReport {
                     circuit,
                     ..routed.clone()
@@ -280,6 +267,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::job::CompileJob;
+    use caqr::{CostModelSpec, RoutingBackendSpec};
     use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
     use caqr_circuit::Circuit;
 
@@ -310,12 +298,12 @@ mod tests {
                     Device::mumbai(5),
                     strategy,
                 )
-                .with_cost_model(spec);
+                .with_router(spec);
                 // Concrete job over the template's own instruction stream
                 // (slots and all) — the closest possible collision shape.
                 let concrete =
                     CompileJob::new("c", template.circuit().clone(), Device::mumbai(5), strategy)
-                        .with_cost_model(spec);
+                        .with_router(spec);
                 assert_ne!(
                     bind.template_key(),
                     concrete.key(),
@@ -326,7 +314,7 @@ mod tests {
                 let bound =
                     bind_circuit(template.circuit(), template.num_slots(), &values).unwrap();
                 let concrete_bound =
-                    CompileJob::new("c", bound, Device::mumbai(5), strategy).with_cost_model(spec);
+                    CompileJob::new("c", bound, Device::mumbai(5), strategy).with_router(spec);
                 assert_ne!(bind.template_key(), concrete_bound.key());
             }
         }
@@ -356,13 +344,13 @@ mod tests {
         assert_ne!(
             a.template_key(),
             template_job("a")
-                .with_cost_model(CostModelSpec::NoiseAware)
+                .with_router(CostModelSpec::NoiseAware)
                 .template_key()
         );
         assert_ne!(
             a.template_key(),
             template_job("a")
-                .with_backend(RoutingBackendSpec::Dpqa)
+                .with_router(RoutingBackendSpec::Dpqa)
                 .template_key(),
             "backend is template-key content"
         );
@@ -397,8 +385,16 @@ mod tests {
         for (out, values) in [(&cold_out, &job.values), (&warm_out, &warm_job.values)] {
             let concrete =
                 bind_circuit(job.template.circuit(), job.template.num_slots(), values).unwrap();
-            let direct =
-                caqr::compile_with(&concrete, &job.device, job.strategy, job.router).unwrap();
+            let direct = PassManager::for_strategy(job.strategy)
+                .run_observed_cancellable_with(
+                    &concrete,
+                    &job.device,
+                    job.strategy,
+                    job.router,
+                    &mut caqr::manager::NoopObserver,
+                    &token,
+                )
+                .unwrap();
             assert_eq!(out.report.circuit, direct.circuit);
             assert_eq!(out.report.depth, direct.depth);
             assert_eq!(out.report.esp.to_bits(), direct.esp.to_bits());

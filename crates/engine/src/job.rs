@@ -45,19 +45,8 @@ impl CompileJob {
         }
     }
 
-    /// The same job routing under a different swap-scoring model.
-    pub fn with_cost_model(mut self, cost_model: CostModelSpec) -> Self {
-        self.router.cost_model = cost_model;
-        self
-    }
-
-    /// The same job routed by a different backend.
-    pub fn with_backend(mut self, backend: RoutingBackendSpec) -> Self {
-        self.router.backend = backend;
-        self
-    }
-
-    /// The same job under a full routing policy (backend + cost model).
+    /// The same job under a full routing policy (backend + cost model);
+    /// a bare [`CostModelSpec`] or [`RoutingBackendSpec`] converts too.
     pub fn with_router(mut self, router: impl Into<RouterConfig>) -> Self {
         self.router = router.into();
         self
@@ -190,10 +179,8 @@ pub struct JobOutcome {
     pub name: String,
     /// Strategy that ran.
     pub strategy: Strategy,
-    /// Routing cost model the job compiled under.
-    pub cost_model: CostModelSpec,
-    /// Routing backend the job compiled under.
-    pub backend: RoutingBackendSpec,
+    /// Routing policy the job compiled under.
+    pub router: RouterConfig,
     /// The compile report (identical whether served cold or from cache).
     pub report: CompileReport,
     /// `true` when served from the compile cache.
@@ -216,10 +203,8 @@ pub struct FailedJob {
     pub name: String,
     /// Strategy that ran.
     pub strategy: Strategy,
-    /// Routing cost model the job would have compiled under.
-    pub cost_model: CostModelSpec,
-    /// Routing backend the job would have compiled under.
-    pub backend: RoutingBackendSpec,
+    /// Routing policy the job would have compiled under.
+    pub router: RouterConfig,
     /// What went wrong.
     pub error: JobError,
     /// Time the job sat in the batch queue before a worker picked it up.
@@ -229,14 +214,14 @@ pub struct FailedJob {
 impl JobOutcome {
     /// The report "router" label for this outcome; see [`router_label`].
     pub fn router_label(&self) -> String {
-        router_label(self.backend, self.cost_model)
+        router_label(self.router.backend, self.router.cost_model)
     }
 }
 
 impl FailedJob {
     /// The report "router" label for this failure; see [`router_label`].
     pub fn router_label(&self) -> String {
-        router_label(self.backend, self.cost_model)
+        router_label(self.router.backend, self.router.cost_model)
     }
 }
 
@@ -424,14 +409,14 @@ mod tests {
         assert_ne!(
             a.key(),
             job("a", Strategy::Baseline)
-                .with_cost_model(CostModelSpec::NoiseAware)
+                .with_router(CostModelSpec::NoiseAware)
                 .key(),
             "routing cost model is content"
         );
         assert_ne!(
             a.key(),
             job("a", Strategy::Baseline)
-                .with_backend(RoutingBackendSpec::Dpqa)
+                .with_router(RoutingBackendSpec::Dpqa)
                 .key(),
             "routing backend is content"
         );
@@ -446,7 +431,7 @@ mod tests {
         for strategy in [Strategy::Baseline, Strategy::Sr] {
             let keys: Vec<Fingerprint> = RoutingBackendSpec::ALL
                 .iter()
-                .map(|&b| job("a", strategy).with_backend(b).key())
+                .map(|&b| job("a", strategy).with_router(b).key())
                 .collect();
             assert_ne!(keys[0], keys[1], "{strategy}: backends collide");
         }
@@ -489,7 +474,7 @@ mod tests {
         ];
         let keys: Vec<Fingerprint> = specs
             .iter()
-            .map(|&s| job("a", Strategy::Sr).with_cost_model(s).key())
+            .map(|&s| job("a", Strategy::Sr).with_router(s).key())
             .collect();
         for (i, ki) in keys.iter().enumerate() {
             for (j, kj) in keys.iter().enumerate() {

@@ -5,7 +5,7 @@
 use crate::cache::CompileCache;
 use crate::job::{BatchReport, BatchRequest, CompileJob, FailedJob, JobError, JobOutcome};
 use crate::metrics::EngineMetrics;
-use caqr::{CancelToken, CaqrError, CompileReport, StageTrace};
+use caqr::{CancelToken, CaqrError, CompileReport, PassManager, StageTrace};
 use caqr_sim::effective_workers;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,8 +13,8 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 /// The signature of the per-job compiler the pool drives. The production
-/// engine uses [`caqr::compile_traced_with`]; tests inject panicking or
-/// counting stand-ins.
+/// engine runs [`PassManager::run_observed_cancellable_with`] with a
+/// [`StageTrace`] observer; tests inject panicking or counting stand-ins.
 pub trait JobCompiler: Sync {
     /// Compiles one job, returning the report (or error) plus stage
     /// timings.
@@ -43,7 +43,7 @@ impl Engine {
     /// under its own [`CompileJob::router`] policy.
     pub fn run(request: &BatchRequest) -> BatchReport {
         Self::run_with(request, &|job: &CompileJob| {
-            caqr::compile_traced_with(&job.circuit, &job.device, job.strategy, job.router)
+            compile_job(job, &CancelToken::new())
         })
     }
 
@@ -74,15 +74,7 @@ impl Engine {
         Self::run_impl(
             request,
             cache,
-            &|job: &CompileJob| {
-                caqr::compile_traced_cancellable_with(
-                    &job.circuit,
-                    &job.device,
-                    job.strategy,
-                    job.router,
-                    cancel,
-                )
-            },
+            &|job: &CompileJob| compile_job(job, cancel),
             cancel,
         )
     }
@@ -111,19 +103,19 @@ impl Engine {
                     let Some(job) = jobs.get(index) else { break };
                     let queue_wait = started.elapsed();
                     let result = if cancel.is_cancelled() {
-                        Err(FailedJob {
-                            name: job.name.clone(),
-                            strategy: job.strategy,
-                            cost_model: job.router.cost_model,
-                            backend: job.router.backend,
-                            error: JobError::Compile(CaqrError::DeadlineExceeded {
-                                phase: "queued",
-                            }),
-                            queue_wait,
-                        })
+                        Err(JobError::Compile(CaqrError::DeadlineExceeded {
+                            phase: "queued",
+                        }))
                     } else {
                         run_one(job, cache, compiler, queue_wait)
-                    };
+                    }
+                    .map_err(|error| FailedJob {
+                        name: job.name.clone(),
+                        strategy: job.strategy,
+                        router: job.router,
+                        error,
+                        queue_wait,
+                    });
                     if tx.send((index, result)).is_err() {
                         break;
                     }
@@ -137,8 +129,8 @@ impl Engine {
 
         let results: Vec<Result<JobOutcome, FailedJob>> = slots
             .into_iter()
-            .map(|slot| slot.expect("every job index produced a result"))
-            .collect();
+            .collect::<Option<_>>()
+            .expect("every job index produced a result");
 
         let mut metrics = EngineMetrics {
             jobs_total: request.jobs.len(),
@@ -173,13 +165,31 @@ impl Engine {
     }
 }
 
+/// Compiles one job through the general compile path under its own
+/// routing policy, recording per-pass spans.
+fn compile_job(
+    job: &CompileJob,
+    cancel: &CancelToken,
+) -> (Result<CompileReport, CaqrError>, StageTrace) {
+    let mut trace = StageTrace::default();
+    let result = PassManager::for_strategy(job.strategy).run_observed_cancellable_with(
+        &job.circuit,
+        &job.device,
+        job.strategy,
+        job.router,
+        &mut trace,
+        cancel,
+    );
+    (result, trace)
+}
+
 /// Compiles one job with cache lookup and panic isolation.
 fn run_one<C: JobCompiler>(
     job: &CompileJob,
     cache: Option<&CompileCache>,
     compiler: &C,
     queue_wait: std::time::Duration,
-) -> Result<JobOutcome, FailedJob> {
+) -> Result<JobOutcome, JobError> {
     let started = Instant::now();
     let key = cache.map(|cache| {
         let key = job.key();
@@ -191,8 +201,7 @@ fn run_one<C: JobCompiler>(
             return Ok(JobOutcome {
                 name: job.name.clone(),
                 strategy: job.strategy,
-                cost_model: job.router.cost_model,
-                backend: job.router.backend,
+                router: job.router,
                 report,
                 cache_hit: true,
                 wall: started.elapsed(),
@@ -211,8 +220,7 @@ fn run_one<C: JobCompiler>(
             Ok(JobOutcome {
                 name: job.name.clone(),
                 strategy: job.strategy,
-                cost_model: job.router.cost_model,
-                backend: job.router.backend,
+                router: job.router,
                 report,
                 cache_hit: false,
                 wall: started.elapsed(),
@@ -220,22 +228,8 @@ fn run_one<C: JobCompiler>(
                 trace,
             })
         }
-        Ok((Err(error), _)) => Err(FailedJob {
-            name: job.name.clone(),
-            strategy: job.strategy,
-            cost_model: job.router.cost_model,
-            backend: job.router.backend,
-            error: JobError::Compile(error),
-            queue_wait,
-        }),
-        Err(payload) => Err(FailedJob {
-            name: job.name.clone(),
-            strategy: job.strategy,
-            cost_model: job.router.cost_model,
-            backend: job.router.backend,
-            error: JobError::Panic(panic_message(payload)),
-            queue_wait,
-        }),
+        Ok((Err(error), _)) => Err(JobError::Compile(error)),
+        Err(payload) => Err(JobError::Panic(panic_message(payload))),
     }
 }
 
@@ -328,7 +322,7 @@ mod tests {
             if job.name == "boom" {
                 panic!("injected failure in {}", job.name);
             }
-            caqr::compile_traced(&job.circuit, &job.device, job.strategy)
+            compile_job(job, &CancelToken::new())
         };
         let mut all = jobs();
         all.insert(
@@ -357,7 +351,7 @@ mod tests {
         let compiles = Counter::new(0);
         let counting = |job: &CompileJob| {
             compiles.fetch_add(1, Ordering::SeqCst);
-            caqr::compile_traced(&job.circuit, &job.device, job.strategy)
+            compile_job(job, &CancelToken::new())
         };
         let duplicated: Vec<CompileJob> = jobs().into_iter().chain(jobs()).collect();
         let request = BatchRequest::new(duplicated).with_options(BatchOptions {
@@ -378,7 +372,10 @@ mod tests {
 
     #[test]
     fn cache_hit_equals_cold_compile() {
-        let warm_request = BatchRequest::new(jobs().into_iter().chain(jobs()).collect::<Vec<_>>());
+        // One worker: with more, a duplicate can start before its twin has
+        // been cached, and the hit this test needs becomes a race.
+        let warm_request = BatchRequest::new(jobs().into_iter().chain(jobs()).collect::<Vec<_>>())
+            .with_options(BatchOptions::with_workers(1));
         let report = Engine::run(&warm_request);
         for (cold, warm) in report.results[..3].iter().zip(&report.results[3..]) {
             let (cold, warm) = (cold.as_ref().unwrap(), warm.as_ref().unwrap());
@@ -407,7 +404,7 @@ mod tests {
         let all = vec![
             CompileJob::new("bv3-hop", bv(3), Device::mumbai(5), Strategy::Baseline),
             CompileJob::new("bv3-la", bv(3), Device::mumbai(5), Strategy::Baseline)
-                .with_cost_model(lookahead),
+                .with_router(lookahead),
         ];
         let report = Engine::run(&BatchRequest::new(all));
         assert_eq!(report.ok_count(), 2);
@@ -428,7 +425,7 @@ mod tests {
                 Device::dpqa_grid(3, 3, 7),
                 Strategy::Baseline,
             )
-            .with_backend(caqr::RoutingBackendSpec::Dpqa),
+            .with_router(caqr::RoutingBackendSpec::Dpqa),
         ];
         let report = Engine::run(&BatchRequest::new(all));
         assert_eq!(report.ok_count(), 2, "{}", report.render_table());
@@ -446,7 +443,7 @@ mod tests {
     fn dpqa_on_fixed_coupling_device_is_a_reported_mismatch() {
         let all = vec![
             CompileJob::new("bad", bv(3), Device::mumbai(5), Strategy::Baseline)
-                .with_backend(caqr::RoutingBackendSpec::Dpqa),
+                .with_router(caqr::RoutingBackendSpec::Dpqa),
         ];
         let report = Engine::run(&BatchRequest::new(all));
         assert_eq!(report.failed_count(), 1);

@@ -357,35 +357,31 @@ fn strategy_field(body: &Value, key: &str, default: Strategy) -> Result<Strategy
     })
 }
 
-/// The optional `"router"` field: a routing cost-model spec in the CLI's
-/// `--cost-model` grammar. Absent means `default` (the server-wide Hop
-/// default, or the batch-level value inside `jobs[]`).
-fn router_field(body: &Value, default: CostModelSpec) -> Result<CostModelSpec, Reject> {
-    let Some(value) = body.get("router") else {
-        return Ok(default);
-    };
-    let spec = value
-        .as_str()
-        .ok_or_else(|| Reject::bad("'router' must be a string"))?;
-    CostModelSpec::parse(spec).map_err(|e| Reject::unprocessable(format!("bad router: {e}")))
-}
-
-/// The optional `"routing_backend"` field: `swap | dpqa`. Absent means
-/// `default` (the server-wide SWAP default, or the batch-level value
-/// inside `jobs[]`). A DPQA job on a non-grid device fails later with
-/// the typed [`CaqrError::BackendDeviceMismatch`], reported as 422.
-fn routing_backend_field(
-    body: &Value,
-    default: RoutingBackendSpec,
-) -> Result<RoutingBackendSpec, Reject> {
-    let Some(value) = body.get("routing_backend") else {
-        return Ok(default);
-    };
-    let spec = value
-        .as_str()
-        .ok_or_else(|| Reject::bad("'routing_backend' must be a string"))?;
-    RoutingBackendSpec::parse(spec)
-        .map_err(|e| Reject::unprocessable(format!("bad routing_backend: {e}")))
+/// The optional routing fields, parsed into one [`RouterConfig`]:
+/// `"router"` is a cost-model spec in the CLI's `--cost-model` grammar
+/// and `"routing_backend"` is `swap | dpqa`. An absent field keeps its
+/// half of `default` (the server-wide SWAP/Hop default, or the
+/// batch-level values inside `jobs[]`). `router` is checked first, so
+/// its error wins when both are bad. A DPQA job on a non-grid device
+/// fails later with the typed [`CaqrError::BackendDeviceMismatch`],
+/// reported as 422.
+fn router_config_field(body: &Value, default: RouterConfig) -> Result<RouterConfig, Reject> {
+    let mut config = default;
+    if let Some(value) = body.get("router") {
+        let spec = value
+            .as_str()
+            .ok_or_else(|| Reject::bad("'router' must be a string"))?;
+        config.cost_model = CostModelSpec::parse(spec)
+            .map_err(|e| Reject::unprocessable(format!("bad router: {e}")))?;
+    }
+    if let Some(value) = body.get("routing_backend") {
+        let spec = value
+            .as_str()
+            .ok_or_else(|| Reject::bad("'routing_backend' must be a string"))?;
+        config.backend = RoutingBackendSpec::parse(spec)
+            .map_err(|e| Reject::unprocessable(format!("bad routing_backend: {e}")))?;
+    }
+    Ok(config)
 }
 
 /// The CLI's strategy names, plus each [`Strategy`]'s `Display` form so a
@@ -491,7 +487,10 @@ fn outcome_value(outcome: &JobOutcome) -> Value {
         ("name", Value::str(outcome.name.clone())),
         ("strategy", Value::str(outcome.strategy.to_string())),
         ("router", Value::str(outcome.router_label())),
-        ("routing_backend", Value::str(outcome.backend.to_string())),
+        (
+            "routing_backend",
+            Value::str(outcome.router.backend.to_string()),
+        ),
         ("qubits", Value::num(outcome.report.qubits as u64)),
         ("depth", Value::num(outcome.report.depth as u64)),
         ("duration_dt", Value::num(outcome.report.duration_dt)),
@@ -519,7 +518,10 @@ fn failure_value(failed: &FailedJob) -> Value {
         ("name", Value::str(failed.name.clone())),
         ("strategy", Value::str(failed.strategy.to_string())),
         ("router", Value::str(failed.router_label())),
-        ("routing_backend", Value::str(failed.backend.to_string())),
+        (
+            "routing_backend",
+            Value::str(failed.router.backend.to_string()),
+        ),
         ("error", Value::str(failed.error.to_string())),
     ])
 }
@@ -550,8 +552,7 @@ fn compile_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
     let body = parse_body(body)?;
     let circuit = circuit_field(&body)?;
     let strategy = strategy_field(&body, "strategy", Strategy::Sr)?;
-    let router = router_field(&body, CostModelSpec::Hop)?;
-    let backend = routing_backend_field(&body, RoutingBackendSpec::Swap)?;
+    let router = router_config_field(&body, RouterConfig::default())?;
     let seed = u64_field(&body, "seed", 2023)?;
     let device = device_field(state, &body, seed)?;
     let name = match body.get("name") {
@@ -563,12 +564,9 @@ fn compile_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
     };
     let token = deadline_token(&body, &state.limits)?;
 
-    let request = BatchRequest::new(vec![CompileJob::new(name, circuit, device, strategy)
-        .with_router(
-            RouterConfig::new()
-                .with_backend(backend)
-                .with_cost_model(router),
-        )])
+    let request = BatchRequest::new(vec![
+        CompileJob::new(name, circuit, device, strategy).with_router(router)
+    ])
     .with_options(BatchOptions::with_workers(1));
     let report = Engine::run_shared(&request, Some(&state.cache), &token);
     state.merge_engine_metrics(&report.metrics);
@@ -592,8 +590,7 @@ fn compile_batch(state: &AppState, body: &[u8]) -> Response {
 fn compile_batch_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
     let body = parse_body(body)?;
     let default_strategy = strategy_field(&body, "strategy", Strategy::Sr)?;
-    let default_router = router_field(&body, CostModelSpec::Hop)?;
-    let default_backend = routing_backend_field(&body, RoutingBackendSpec::Swap)?;
+    let default_router = router_config_field(&body, RouterConfig::default())?;
     let seed = u64_field(&body, "seed", 2023)?;
     let device = device_field(state, &body, seed)?;
     let workers = u64_field(&body, "workers", 0)? as usize;
@@ -627,11 +624,7 @@ fn compile_batch_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject
             message: format!("jobs[{index}]: {}", r.message),
             ..r
         })?;
-        let router = router_field(entry, default_router).map_err(|r| Reject {
-            message: format!("jobs[{index}]: {}", r.message),
-            ..r
-        })?;
-        let backend = routing_backend_field(entry, default_backend).map_err(|r| Reject {
+        let router = router_config_field(entry, default_router).map_err(|r| Reject {
             message: format!("jobs[{index}]: {}", r.message),
             ..r
         })?;
@@ -642,13 +635,7 @@ fn compile_batch_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject
                 .ok_or_else(|| Reject::bad(format!("jobs[{index}]: 'name' must be a string")))?
                 .to_string(),
         };
-        jobs.push(
-            CompileJob::new(name, circuit, device.clone(), strategy).with_router(
-                RouterConfig::new()
-                    .with_backend(backend)
-                    .with_cost_model(router),
-            ),
-        );
+        jobs.push(CompileJob::new(name, circuit, device.clone(), strategy).with_router(router));
     }
 
     let request = BatchRequest::new(jobs).with_options(BatchOptions::with_workers(workers.min(16)));
@@ -786,8 +773,7 @@ fn bind_run_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
         })
         .collect::<Result<_, _>>()?;
     let strategy = strategy_field(&body, "strategy", Strategy::Sr)?;
-    let router = router_field(&body, CostModelSpec::Hop)?;
-    let backend = routing_backend_field(&body, RoutingBackendSpec::Swap)?;
+    let router = router_config_field(&body, RouterConfig::default())?;
     let seed = u64_field(&body, "seed", 2023)?;
     let device = device_field(state, &body, seed)?;
     let name = match body.get("name") {
@@ -816,11 +802,7 @@ fn bind_run_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
     };
     let token = deadline_token(&body, &state.limits)?;
 
-    let job = BindJob::new(name, template, values, device, strategy).with_router(
-        RouterConfig::new()
-            .with_backend(backend)
-            .with_cost_model(router),
-    );
+    let job = BindJob::new(name, template, values, device, strategy).with_router(router);
     let report = Engine::bind_shared(&job, Some(&state.cache), &token);
     state.merge_engine_metrics(&report.metrics);
     let outcome = match &report.result {
@@ -863,7 +845,10 @@ fn bind_run_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
         ("name", Value::str(outcome.name.clone())),
         ("strategy", Value::str(outcome.strategy.to_string())),
         ("router", Value::str(outcome.router_label())),
-        ("routing_backend", Value::str(outcome.backend.to_string())),
+        (
+            "routing_backend",
+            Value::str(outcome.router.backend.to_string()),
+        ),
         ("qubits", Value::num(outcome.report.qubits as u64)),
         ("depth", Value::num(outcome.report.depth as u64)),
         ("duration_dt", Value::num(outcome.report.duration_dt)),
