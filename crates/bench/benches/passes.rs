@@ -1,5 +1,5 @@
 //! Criterion benches of compiler-pass cost (the paper's §3.4 overhead
-//! analysis): reuse analysis, one QS reduction step, the commuting
+//! analysis): reuse analysis, the regular QS sweep, the commuting
 //! scheduler under both matchers, and the two routers.
 
 use caqr::analysis::ReuseAnalysis;
@@ -26,21 +26,18 @@ fn bench_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_qs_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("qs_reduce_by_one");
-    for bench in [revlib::system_9(), bv::bv_all_ones(10)] {
-        let device = Device::mumbai(1);
+/// The full regular QS sweep on the circuits whose backtracking search
+/// runs its state budget dry (Multiply_13 both phases, BV_10 the quality
+/// phase), under Mumbai's logical durations as `fig13_qs_regular` uses.
+fn bench_qs_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qs_regular_sweep");
+    group.sample_size(10);
+    let durations = Device::mumbai(1).logical_duration_model();
+    for bench in [revlib::multiply_13(), bv::bv_all_ones(10)] {
         group.bench_with_input(
             BenchmarkId::from_parameter(&bench.name),
             &bench.circuit,
-            |b, circuit| {
-                b.iter(|| {
-                    black_box(qs::regular::reduce_by_one(
-                        black_box(circuit),
-                        &device.logical_duration_model(),
-                    ))
-                })
-            },
+            |b, circuit| b.iter(|| black_box(qs::regular::sweep(black_box(circuit), &durations))),
         );
     }
     group.finish();
@@ -137,7 +134,7 @@ fn bench_simulator(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_analysis,
-    bench_qs_step,
+    bench_qs_sweep,
     bench_commuting_scheduler,
     bench_routers,
     bench_route_engine_scaling,

@@ -124,6 +124,19 @@ impl Instruction {
     pub fn is_two_qubit(&self) -> bool {
         self.gate.is_two_qubit()
     }
+
+    /// The wires this instruction occupies in a circuit of `num_qubits`
+    /// qubits: its qubits, then its clbit and condition bit offset by
+    /// `num_qubits`. An instruction's neighbours in the dependence DAG
+    /// ([`CircuitDag`](crate::CircuitDag)) are the previous and next
+    /// instructions on each of these wires.
+    pub fn wires(&self, num_qubits: usize) -> impl Iterator<Item = usize> + '_ {
+        let bits = self.clbit.iter().chain(self.condition.iter());
+        self.qubits
+            .iter()
+            .map(|q| q.index())
+            .chain(bits.map(move |c| num_qubits + c.index()))
+    }
 }
 
 impl fmt::Display for Instruction {

@@ -1,7 +1,9 @@
 //! The gate-dependency DAG (`G_D` in the paper).
 //!
 //! A vertex per instruction; an edge `u -> v` whenever `v` is the next
-//! instruction after `u` on some shared wire (qubit or classical bit).
+//! instruction after `u` on some shared wire (qubit or classical bit; see
+//! [`Instruction::wires`](crate::Instruction::wires)), so every edge runs
+//! forward in program order and instruction order is a topological order.
 //! Classical wires matter: a conditional reset depends on the measurement
 //! that wrote its condition bit, which is exactly how the paper's dummy
 //! measurement node `D` enforces reuse ordering (Fig. 9).
@@ -33,24 +35,16 @@ pub struct CircuitDag {
 impl CircuitDag {
     /// Builds the dependency DAG of `circuit`.
     pub fn of(circuit: &Circuit) -> Self {
-        let n = circuit.len();
-        let mut graph = DiGraph::new(n);
-        let mut last_on_qubit: Vec<Option<usize>> = vec![None; circuit.num_qubits()];
-        let mut last_on_clbit: Vec<Option<usize>> = vec![None; circuit.num_clbits()];
+        let mut graph = DiGraph::new(circuit.len());
+        let n = circuit.num_qubits();
+        let mut last_on_wire: Vec<Option<usize>> = vec![None; n + circuit.num_clbits()];
         for (idx, instr) in circuit.iter().enumerate() {
-            for q in &instr.qubits {
-                if let Some(prev) = last_on_qubit[q.index()] {
+            for w in instr.wires(n) {
+                // A measure conditioned on its own clbit visits it twice.
+                if let Some(prev) = last_on_wire[w].filter(|&prev| prev != idx) {
                     graph.add_edge(prev, idx);
                 }
-                last_on_qubit[q.index()] = Some(idx);
-            }
-            for c in instr.clbit.iter().chain(instr.condition.iter()) {
-                if let Some(prev) = last_on_clbit[c.index()] {
-                    if prev != idx {
-                        graph.add_edge(prev, idx);
-                    }
-                }
-                last_on_clbit[c.index()] = Some(idx);
+                last_on_wire[w] = Some(idx);
             }
         }
         CircuitDag { graph }
@@ -81,10 +75,7 @@ impl CircuitDag {
 
     /// Critical-path length counting every instruction as one time step.
     pub fn unit_critical_path(&self) -> u64 {
-        let w = vec![1u64; self.len()];
-        self.graph
-            .critical_path(&w)
-            .expect("circuit DAG is acyclic by construction")
+        self.weighted_critical_path(&vec![1u64; self.len()])
     }
 
     /// Critical-path length with per-instruction weights (e.g. durations in
@@ -94,30 +85,39 @@ impl CircuitDag {
     ///
     /// Panics if `weights.len() != self.len()`.
     pub fn weighted_critical_path(&self, weights: &[u64]) -> u64 {
-        self.graph
-            .critical_path(weights)
-            .expect("circuit DAG is acyclic by construction")
+        self.longest_path_to(weights).into_iter().max().unwrap_or(0)
     }
 
     /// For every instruction, the longest weighted path *ending* at it
     /// (inclusive). An instruction is on the critical path iff its value
     /// plus the longest path *from* it equals the total.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != self.len()`.
     pub fn longest_path_to(&self, weights: &[u64]) -> Vec<u64> {
-        self.graph
-            .longest_path_to(weights)
-            .expect("circuit DAG is acyclic by construction")
+        assert_eq!(weights.len(), self.len(), "weight length mismatch");
+        // Edges run from earlier to later instructions, so index order is
+        // a topological order.
+        let mut dist = vec![0u64; self.len()];
+        for v in 0..self.len() {
+            let best_pred = self.graph.predecessors(v).map(|p| dist[p]).max();
+            dist[v] = best_pred.unwrap_or(0) + weights[v];
+        }
+        dist
     }
 
     /// Longest weighted path *starting* at each instruction (inclusive).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != self.len()`.
     pub fn longest_path_from(&self, weights: &[u64]) -> Vec<u64> {
-        let order = self
-            .graph
-            .topological_order()
-            .expect("circuit DAG is acyclic by construction");
+        assert_eq!(weights.len(), self.len(), "weight length mismatch");
         let mut dist = vec![0u64; self.len()];
-        for &v in order.iter().rev() {
-            let best_succ = self.graph.successors(v).map(|s| dist[s]).max().unwrap_or(0);
-            dist[v] = best_succ + weights[v];
+        for v in (0..self.len()).rev() {
+            let best_succ = self.graph.successors(v).map(|s| dist[s]).max();
+            dist[v] = best_succ.unwrap_or(0) + weights[v];
         }
         dist
     }

@@ -7,10 +7,13 @@
 //! 2. **Condition 2** — no gate on `q_i` (transitively) depends on a gate
 //!    on `q_j`; otherwise forcing all of `q_i`'s gates before all of
 //!    `q_j`'s creates a dependency cycle (Fig. 7).
+//!
+//! Condition 2 only asks which *qubits* a qubit's gates reach, so the
+//! analysis keeps a qubit x qubit reach matrix, built in one reverse sweep
+//! over the circuit.
 
-use caqr_circuit::{Circuit, CircuitDag, Qubit};
-use caqr_graph::closure::TransitiveClosure;
-use caqr_graph::Graph;
+use caqr_circuit::{Circuit, Qubit};
+use caqr_graph::{BitSet, Graph};
 
 /// A candidate reuse pair: `donor`'s wire is handed to `receiver` after a
 /// measure-and-reset.
@@ -44,18 +47,18 @@ impl std::fmt::Display for ReusePair {
 #[derive(Debug)]
 pub struct ReuseAnalysis {
     interaction: Graph,
-    dag: CircuitDag,
-    closure: TransitiveClosure,
+    // reach[x] = the qubits some gate on `x` reaches in the dependence DAG
+    // (a gate reaches itself, so an active `x` and its gate partners are
+    // in it).
+    reach: Vec<BitSet>,
     gates_on: Vec<Vec<usize>>,
     active: Vec<bool>,
 }
 
 impl ReuseAnalysis {
-    /// Analyzes `circuit` (builds the DAG, its transitive closure, and the
-    /// interaction graph).
+    /// Analyzes `circuit` (the qubit reach matrix and the interaction
+    /// graph).
     pub fn of(circuit: &Circuit) -> Self {
-        let dag = CircuitDag::of(circuit);
-        let closure = dag.closure();
         let interaction = caqr_circuit::interaction::interaction_graph(circuit);
         let n = circuit.num_qubits();
         let mut gates_on = vec![Vec::new(); n];
@@ -66,18 +69,29 @@ impl ReuseAnalysis {
                 active[q.index()] = true;
             }
         }
+        // One reverse-topological sweep. An instruction's DAG successors
+        // are the next instructions on its wires, so with `after[w]` = the
+        // qubits reached from the next instruction on wire `w`, a qubit's
+        // row is final once its first gate is swept.
+        let mut after = vec![BitSet::new(n); n + circuit.num_clbits()];
+        let mut here = BitSet::new(n);
+        for instr in circuit.iter().rev() {
+            here.clear();
+            here.extend(instr.qubits.iter().map(|q| q.index()));
+            for w in instr.wires(n) {
+                here.union_with(&after[w]);
+            }
+            for w in instr.wires(n) {
+                after[w].clone_from(&here);
+            }
+        }
+        after.truncate(n);
         ReuseAnalysis {
             interaction,
-            dag,
-            closure,
+            reach: after,
             gates_on,
             active,
         }
-    }
-
-    /// The dependence DAG.
-    pub fn dag(&self) -> &CircuitDag {
-        &self.dag
     }
 
     /// The qubit interaction graph.
@@ -95,10 +109,18 @@ impl ReuseAnalysis {
     /// Condition 2: no gate on the donor depends (transitively) on a gate
     /// on the receiver.
     pub fn condition2(&self, pair: ReusePair) -> bool {
-        !self.closure.any_reaches(
-            &self.gates_on[pair.receiver.index()],
-            &self.gates_on[pair.donor.index()],
-        )
+        !self.reach[pair.receiver.index()].contains(pair.donor.index())
+    }
+
+    /// The qubits some gate on `q` reaches: every `y` such that a gate on
+    /// `q` is, or transitively precedes, a gate on `y`.
+    pub(crate) fn reach(&self, q: Qubit) -> &BitSet {
+        &self.reach[q.index()]
+    }
+
+    /// Returns `true` if `q` has at least one gate.
+    pub(crate) fn is_active(&self, q: Qubit) -> bool {
+        self.active[q.index()]
     }
 
     /// Returns `true` when both conditions hold and both qubits are active

@@ -7,10 +7,11 @@
 //! handles QAOA-style circuits, where a graph coloring bounds the minimum
 //! qubit count and the matching scheduler evaluates each candidate.
 
-use crate::analysis::{ReuseAnalysis, ReusePair};
-use crate::transform::{self, ReusePlan};
-use caqr_circuit::depth::{DurationModel, Schedule};
+use crate::analysis::ReusePair;
+use caqr_circuit::depth::DurationModel;
 use caqr_circuit::Circuit;
+
+mod scoring;
 
 /// One point on the qubit-count/depth trade-off curve.
 #[derive(Debug, Clone)]
@@ -37,13 +38,15 @@ impl SweepPoint {
 
 /// QS-CaQR for regular (fixed-order) applications (§3.2.1).
 pub mod regular {
+    use super::scoring::{Candidate, Parent};
     use super::*;
 
-    /// How many search states the backtracking sweep may visit per pass.
-    /// Greedy succeeds on the first path for well-behaved circuits; the
-    /// budget only matters when a locally-optimal merge blocks further
-    /// reuse, and the feasibility-ordered second pass usually resolves
-    /// those on its first descent.
+    /// How many search states the backtracking sweep may visit per phase.
+    /// Small circuits finish well inside it, but it binds on the larger
+    /// regular benchmarks: under Mumbai's logical durations BV_10 and
+    /// CC_10 exhaust the quality phase and reach two wires only in the
+    /// feasibility phase, and Multiply_13 exhausts both phases and stops
+    /// at 7 wires against a floor of 2 (`results/fig13_qs_regular.txt`).
     const SEARCH_BUDGET: usize = 600;
 
     /// A lower bound on reachable qubit count: two wires whenever any
@@ -67,64 +70,39 @@ pub mod regular {
         Feasibility,
     }
 
-    /// All single-pair reductions of `circuit`, ordered per `order`.
-    fn reductions(
-        circuit: &Circuit,
+    /// All single-pair reductions of the state, ordered per `order`; ties
+    /// keep ascending (donor, receiver) order.
+    fn ranked(
+        state: &Parent<'_>,
         durations: &impl DurationModel,
         order: PairOrder,
-    ) -> Vec<(u64, Circuit)> {
-        let analysis = ReuseAnalysis::of(circuit);
-        let mut out: Vec<(u64, usize, Circuit)> = analysis
-            .candidate_pairs()
-            .into_iter()
-            .filter_map(|pair| {
-                let t = transform::apply(circuit, &ReusePlan::from_pairs([pair])).ok()?;
-                let makespan = Schedule::asap(&t.circuit, durations).makespan();
-                let surviving = match order {
-                    PairOrder::Quality => 0,
-                    PairOrder::Feasibility => ReuseAnalysis::of(&t.circuit).candidate_pairs().len(),
-                };
-                Some((makespan, surviving, t.circuit))
-            })
-            .collect();
+    ) -> Vec<Candidate> {
+        let mut out = state.candidates(durations, order == PairOrder::Feasibility);
         match order {
-            PairOrder::Quality => out.sort_by_key(|a| a.0),
-            PairOrder::Feasibility => out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0))),
+            PairOrder::Quality => out.sort_by_key(|c| c.makespan),
+            PairOrder::Feasibility => out.sort_by(|a, b| {
+                b.surviving
+                    .cmp(&a.surviving)
+                    .then(a.makespan.cmp(&b.makespan))
+            }),
         }
-        out.into_iter().map(|(m, _, c)| (m, c)).collect()
+        out
     }
 
     /// Applies the single best reuse pair (minimum resulting makespan under
     /// `durations`). Returns `None` when no valid pair exists.
     pub fn reduce_by_one(circuit: &Circuit, durations: &impl DurationModel) -> Option<Circuit> {
-        reductions(circuit, durations, PairOrder::Quality)
+        let state = Parent::of(circuit, durations);
+        let best = ranked(&state, durations, PairOrder::Quality)
             .into_iter()
-            .next()
-            .map(|(_, c)| c)
+            .next()?;
+        Some(state.child(best.pair).build())
     }
 
-    /// A canonical signature of a circuit, used to prune search states:
-    /// distinct pair orders that merge the same wires produce the same
-    /// instruction sequence.
-    fn signature(circuit: &Circuit) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        circuit.num_qubits().hash(&mut h);
-        for instr in circuit {
-            instr.gate.name().hash(&mut h);
-            instr.gate.angle().map(f64::to_bits).hash(&mut h);
-            for q in &instr.qubits {
-                q.index().hash(&mut h);
-            }
-            instr.clbit.map(|c| c.index()).hash(&mut h);
-            instr.condition.map(|c| c.index()).hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Depth-first descent, trying minimum-makespan pairs first and
-    /// backtracking when a choice blocks further reuse. Visited wire
-    /// partitions are memoized so permuted pair orders are not re-explored.
+    /// Depth-first descent, trying the best-ranked pairs first and
+    /// backtracking when a choice blocks further reuse. Visited children
+    /// are memoized by signature so permuted pair orders are not
+    /// re-explored; a child circuit is built only when it is entered.
     /// Returns the deepest chain of circuits found (the greedy path when
     /// greedy works).
     fn descend(
@@ -139,11 +117,14 @@ pub mod regular {
             return Vec::new();
         }
         *budget -= 1;
+        let state = Parent::of(circuit, durations);
         let mut best: Vec<Circuit> = Vec::new();
-        for (_, next) in reductions(circuit, durations, order) {
-            if !seen.insert(signature(&next)) {
+        for candidate in ranked(&state, durations, order) {
+            let child = state.child(candidate.pair);
+            if !seen.insert(child.signature()) {
                 continue;
             }
+            let next = child.build();
             let mut tail = descend(&next, target, durations, order, budget, seen);
             tail.insert(0, next);
             if tail.len() > best.len() {
@@ -526,7 +507,7 @@ mod tests {
         // Exhaustive check.
         let analysis = crate::analysis::ReuseAnalysis::of(&c);
         for pair in analysis.candidate_pairs() {
-            if let Ok(t) = crate::transform::apply(&c, &ReusePlan::from_pairs([pair])) {
+            if let Ok(t) = crate::transform::apply(&c, &crate::ReusePlan::from_pairs([pair])) {
                 let m = caqr_circuit::depth::Schedule::asap(&t.circuit, &UnitDurations).makespan();
                 assert!(best_makespan <= m, "pair {pair} beats chosen one");
             }

@@ -18,10 +18,25 @@
 /// assert!(!s.contains(4));
 /// assert_eq!(s.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Reuses `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.capacity = source.capacity;
+    }
 }
 
 impl BitSet {
@@ -97,6 +112,20 @@ impl BitSet {
     /// Returns `true` if `self` and `other` share at least one element.
     pub fn intersects(&self, other: &BitSet) -> bool {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+
+    /// The number of elements of `self` that are not in `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn difference_len(&self, other: &BitSet) -> usize {
+        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & !b).count_ones() as usize)
+            .sum()
     }
 
     /// Removes all elements.
@@ -236,6 +265,17 @@ mod tests {
         let s = BitSet::new(0);
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn difference_len_counts_self_only() {
+        let mut a = BitSet::new(100);
+        a.extend([1, 5, 70, 99]);
+        let mut b = BitSet::new(100);
+        b.extend([5, 99, 42]);
+        assert_eq!(a.difference_len(&b), 2);
+        assert_eq!(b.difference_len(&a), 1);
+        assert_eq!(a.difference_len(&a), 0);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Transitive closure and reachability matrices over DAGs.
 //!
-//! The paper's Condition 2 check ("no operation on `q_i` may depend on any
-//! operation on `q_j`") is a batch of reachability queries between the gate
-//! groups of two qubits. Answering them from a precomputed dense closure
-//! turns each candidate-pair test into a couple of bitset probes, which is
-//! what keeps QS-CaQR's `O(k n^3)` loop practical.
+//! A dense gate x gate closure answers batched reachability queries
+//! between vertex groups in a few bitset probes, at `O(V^2)` bits of
+//! memory. The paper's Condition 2 ("no operation on `q_i` may depend on
+//! any operation on `q_j`") is such a query between two qubits' gate
+//! groups; `caqr::analysis` answers it from a smaller qubit x qubit reach
+//! matrix instead, and this closure serves gate-level queries
+//! (`CircuitDag::closure`) and as the reference that matrix is tested
+//! against.
 
 use crate::bitset::BitSet;
 use crate::digraph::DiGraph;

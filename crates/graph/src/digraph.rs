@@ -1,7 +1,8 @@
 //! Directed graphs with the operations CaQR's dependence analysis needs:
 //! topological sort, cycle detection, longest paths, and edge mutation.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A directed simple graph over vertices `0..n`.
 ///
@@ -22,17 +23,45 @@ use std::collections::BTreeSet;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DiGraph {
-    succ: Vec<BTreeSet<usize>>,
-    pred: Vec<BTreeSet<usize>>,
+    // Sorted, duplicate-free adjacency lists. Dependence graphs are built
+    // in vertex order, so `add_edge` almost always appends.
+    succ: Vec<Vec<usize>>,
+    pred: Vec<Vec<usize>>,
     num_edges: usize,
+}
+
+/// Inserts `x` into the sorted list `list`; returns `false` if present.
+fn insert_sorted(list: &mut Vec<usize>, x: usize) -> bool {
+    if list.last().is_none_or(|&last| last < x) {
+        list.push(x);
+        return true;
+    }
+    match list.binary_search(&x) {
+        Ok(_) => false,
+        Err(at) => {
+            list.insert(at, x);
+            true
+        }
+    }
+}
+
+/// Removes `x` from the sorted list `list`; returns `false` if absent.
+fn remove_sorted(list: &mut Vec<usize>, x: usize) -> bool {
+    match list.binary_search(&x) {
+        Ok(at) => {
+            list.remove(at);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 impl DiGraph {
     /// Creates a digraph with `n` vertices and no edges.
     pub fn new(n: usize) -> Self {
         DiGraph {
-            succ: vec![BTreeSet::new(); n],
-            pred: vec![BTreeSet::new(); n],
+            succ: vec![Vec::new(); n],
+            pred: vec![Vec::new(); n],
             num_edges: 0,
         }
     }
@@ -72,9 +101,9 @@ impl DiGraph {
             "edge ({u}, {v}) out of range for {} vertices",
             self.succ.len()
         );
-        let fresh = self.succ[u].insert(v);
-        self.pred[v].insert(u);
+        let fresh = insert_sorted(&mut self.succ[u], v);
         if fresh {
+            insert_sorted(&mut self.pred[v], u);
             self.num_edges += 1;
         }
         fresh
@@ -85,8 +114,8 @@ impl DiGraph {
         if u >= self.succ.len() || v >= self.succ.len() {
             return false;
         }
-        let present = self.succ[u].remove(&v);
-        self.pred[v].remove(&u);
+        let present = remove_sorted(&mut self.succ[u], v);
+        remove_sorted(&mut self.pred[v], u);
         if present {
             self.num_edges -= 1;
         }
@@ -95,13 +124,13 @@ impl DiGraph {
 
     /// Returns `true` if the edge `u -> v` exists.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        u < self.succ.len() && self.succ[u].contains(&v)
+        u < self.succ.len() && self.succ[u].binary_search(&v).is_ok()
     }
 
     /// Appends a fresh isolated vertex and returns its index.
     pub fn add_vertex(&mut self) -> usize {
-        self.succ.push(BTreeSet::new());
-        self.pred.push(BTreeSet::new());
+        self.succ.push(Vec::new());
+        self.pred.push(Vec::new());
         self.succ.len() - 1
     }
 
@@ -139,15 +168,15 @@ impl DiGraph {
     pub fn topological_order(&self) -> Option<Vec<usize>> {
         let n = self.num_vertices();
         let mut indeg: Vec<usize> = (0..n).map(|v| self.in_degree(v)).collect();
-        let mut ready: BTreeSet<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&v| indeg[v] == 0).map(Reverse).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(&v) = ready.iter().next() {
-            ready.remove(&v);
+        while let Some(Reverse(v)) = ready.pop() {
             order.push(v);
             for s in self.successors(v) {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    ready.insert(s);
+                    ready.push(Reverse(s));
                 }
             }
         }
@@ -276,6 +305,30 @@ mod tests {
     fn empty_graph_critical_path_zero() {
         let g = DiGraph::new(0);
         assert_eq!(g.critical_path(&[]), Some(0));
+    }
+
+    #[test]
+    fn adjacency_stays_sorted_under_any_insertion_order() {
+        let mut g = DiGraph::new(6);
+        for (u, v) in [(0, 5), (0, 2), (3, 1), (0, 4), (2, 1), (0, 3)] {
+            assert!(g.add_edge(u, v));
+        }
+        assert!(!g.add_edge(0, 2));
+        assert_eq!(g.successors(0).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
+        assert_eq!(g.predecessors(1).collect::<Vec<_>>(), vec![2, 3]);
+        assert!(g.remove_edge(0, 3));
+        assert!(!g.remove_edge(0, 3));
+        assert!(!g.has_edge(0, 3));
+        assert_eq!(g.successors(0).collect::<Vec<_>>(), vec![2, 4, 5]);
+        assert_eq!(g.predecessors(3).count(), 0);
+        assert_eq!(g.num_edges(), 5);
+    }
+
+    #[test]
+    fn topo_order_takes_smallest_ready_vertex_first() {
+        // 4 and 1 are sources; 3 waits on 4, so 0/2 are emitted before it.
+        let g = DiGraph::from_edges(5, [(4, 3), (1, 0), (1, 2)]);
+        assert_eq!(g.topological_order(), Some(vec![1, 0, 2, 4, 3]));
     }
 
     #[test]
